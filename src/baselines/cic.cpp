@@ -65,6 +65,7 @@ std::vector<rx::Assignment> CicAssigner::assign(const rx::AssignInput& in) {
   const double min_len = sps / static_cast<double>(opt_.min_subwindow_div);
 
   std::vector<rx::Assignment> out(in.symbols.size());
+  std::vector<double> median_scratch;  // reused by every sub-window median
   for (std::size_t i = 0; i < in.symbols.size(); ++i) {
     const rx::ActiveSymbol& sym = in.symbols[i];
     const rx::PacketContext& ctx =
@@ -116,8 +117,9 @@ std::vector<rx::Assignment> CicAssigner::assign(const rx::AssignInput& in) {
       const SignalVector sub =
           subwindow_spectrum(in, w, cuts[c], cuts[c + 1], cfo);
       ++n_subwindows;
-      std::vector<double> tmp(sub.begin(), sub.end());
-      const double med = std::max(dsp::median_of(tmp), 1e-30);
+      median_scratch.assign(sub.begin(), sub.end());
+      const double med =
+          std::max(dsp::median_in_place(median_scratch), 1e-30);
       // Spectral resolution of a short sub-window widens the match window.
       const int tol =
           static_cast<int>(std::lround(std::max(1.5, 0.75 * sps / len)));

@@ -14,11 +14,11 @@ namespace {
 
 /// Noise-floor proxy (same convention as Detector's): the median, kept
 /// above a tiny fraction of the maximum so noiseless traces do not make
-/// every spectral leak look significant.
+/// every spectral leak look significant. Allocates nothing once warm.
 double noise_floor(std::span<const float> x) {
   thread_local std::vector<double> tmp;
   tmp.assign(x.begin(), x.end());
-  const double med = dsp::median_of(tmp);
+  const double med = dsp::median_in_place(tmp);
   float mx = 0.0f;
   for (float v : x) mx = std::max(mx, v);
   return std::max({med, static_cast<double>(mx) * 1e-5, 1e-30});

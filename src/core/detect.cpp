@@ -1,7 +1,9 @@
 #include "core/detect.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <unordered_map>
 
 #include "common/math_util.hpp"
 #include "core/window.hpp"
@@ -14,11 +16,12 @@ namespace {
 /// Noise-floor proxy of a signal vector: its median, kept above a tiny
 /// fraction of the maximum so noiseless traces (unit tests, saturated
 /// captures) do not make every spectral leak look significant. The median
-/// scratch is per-thread so the per-window call allocates nothing once warm.
+/// is selected in place in per-thread scratch, so the per-window call
+/// allocates nothing once warm.
 double noise_floor(std::span<const float> x) {
   thread_local std::vector<double> tmp;
   tmp.assign(x.begin(), x.end());
-  const double med = dsp::median_of(tmp);
+  const double med = dsp::median_in_place(tmp);
   float mx = 0.0f;
   for (float v : x) mx = std::max(mx, v);
   return std::max({med, static_cast<double>(mx) * 1e-5, 1e-30});
@@ -29,7 +32,34 @@ double cyclic_dist(double a, double b, double n) {
   return std::abs(wrap_half(a - b, n));
 }
 
+/// Bins the step-2 checks read: preamble up- and downchirps peak at bin 0,
+/// the two sync symbols at their shifts.
+constexpr std::array<std::size_t, 3> kCheckBins = {0, lora::kSyncShift1,
+                                                   lora::kSyncShift2};
+
 }  // namespace
+
+/// Demodulations one detect() call would otherwise repeat. Each key fixes
+/// every input of its demodulation, so a hit returns exactly what
+/// recomputing would. Holds scalars and peak lists, never signal vectors.
+struct Detector::PassMemo {
+  /// find_peaks of each CFO-0 downchirp window, by window index, across
+  /// all candidates: the x2 search ranges of nearby candidates overlap.
+  std::unordered_map<std::size_t, std::vector<dsp::Peak>> down_peaks;
+
+  /// A step-2 check window of the current downchirp hypothesis.
+  struct CheckWindow {
+    double start = 0.0;  ///< exact fractional start sample (key)
+    bool up = true;      ///< dechirp reference (key)
+    double floor = 0.0;  ///< noise_floor of its signal vector
+    std::array<double, kCheckBins.size()> energy{};  ///< max over bin +-1
+  };
+  /// Check windows of the current hypothesis (one CFO); cleared for the
+  /// next. Shift j's window m is shift j+1's window m-1, but only where
+  /// (t0 + j*T) + m*T rounds to the same double, so the key is the exact
+  /// start, never the integer j+m.
+  std::vector<CheckWindow> checks;
+};
 
 Detector::Detector(lora::Params params, DetectorOptions opt)
     : p_(params), opt_(opt), demod_(params) {
@@ -124,49 +154,26 @@ std::vector<Detector::Candidate> Detector::find_runs(
           active.push_back(r);
         }
       }
-      // Retire runs that have missed two consecutive windows.
-      std::vector<Run> still;
-      for (std::size_t ri = 0; ri < active.size(); ++ri) {
-        if (active[ri].last + 2 > k) {
-          still.push_back(active[ri]);
-        } else {
-          finalize(active[ri]);
-        }
-      }
-      active = std::move(still);
+      // Retire runs that have missed two consecutive windows, in order.
+      std::erase_if(active, [&](const Run& r) {
+        if (r.last + 2 > k) return false;
+        finalize(r);
+        return true;
+      });
     }
   }
   for (const Run& r : active) finalize(r);
   return candidates;
 }
 
-double Detector::relative_energy_at(std::span<const cfloat> trace, double start,
-                                    double cfo_cycles, std::size_t bin, bool up,
-                                    lora::Workspace& ws) const {
-  const std::size_t sps = p_.sps();
-  const std::size_t n = p_.n_bins();
-  auto& window = ws.iq_scratch(0);
-  window.resize(sps);
-  extract_window(trace, start, window);
-  SignalVector& sv = ws.sv_scratch(0);
-  demod_.signal_vector_into(window, cfo_cycles, up, ws, sv);
-  const double floor = noise_floor(sv);
-  double e = 0.0;
-  for (int d = -1; d <= 1; ++d) {
-    const std::size_t b =
-        static_cast<std::size_t>(floor_mod(static_cast<std::int64_t>(bin) + d,
-                                           static_cast<std::int64_t>(n)));
-    e = std::max(e, static_cast<double>(sv[b]));
-  }
-  return e / floor;
-}
-
 void Detector::resolve_candidate(std::span<const cfloat> trace,
                                  const Candidate& cand, lora::Workspace& ws,
+                                 PassMemo& memo,
                                  std::vector<DetectedPacket>& out) const {
   const std::size_t sps = p_.sps();
   const double n = static_cast<double>(p_.n_bins());
   const double osf = static_cast<double>(p_.osf);
+  SignalVector& sv = ws.sv_scratch(0);
 
   // --- Collect downchirp peak hypotheses (x2) after the run. With
   // collided preambles the strongest downchirp in this range can belong to
@@ -175,6 +182,7 @@ void Detector::resolve_candidate(std::span<const cfloat> trace,
   dsp::PeakFinderOptions pf;
   pf.circular = true;
   pf.max_peaks = 4;
+  pf.use_threshold = true;
   struct DownHyp {
     double x2 = 0.0;
     double height = 0.0;
@@ -182,15 +190,16 @@ void Detector::resolve_candidate(std::span<const cfloat> trace,
   std::vector<DownHyp> hyps;
   const std::size_t k_lo = cand.first_window + 7;
   const std::size_t k_hi = cand.first_window + 13;
-  SignalVector& sv = ws.sv_scratch(0);
   for (std::size_t k = k_lo; k <= k_hi; ++k) {
     if ((k + 1) * sps > trace.size()) break;
-    demod_.signal_vector_into(trace.subspan(k * sps, sps), 0.0, /*up=*/false,
-                              ws, sv);
-    const double floor = noise_floor(sv);
-    pf.use_threshold = true;
-    pf.threshold = opt_.peak_floor_ratio * floor;
-    for (const dsp::Peak& pk : dsp::find_peaks(sv, pf)) {
+    const auto [peaks, fresh] = memo.down_peaks.try_emplace(k);
+    if (fresh) {
+      demod_.signal_vector_into(trace.subspan(k * sps, sps), 0.0,
+                                /*up=*/false, ws, sv);
+      pf.threshold = opt_.peak_floor_ratio * noise_floor(sv);
+      peaks->second = dsp::find_peaks(sv, pf);
+    }
+    for (const dsp::Peak& pk : peaks->second) {
       bool merged = false;
       for (DownHyp& h : hyps) {
         if (cyclic_dist(h.x2, pk.frac_index, n) <= 1.0) {
@@ -210,6 +219,30 @@ void Detector::resolve_candidate(std::span<const cfloat> trace,
             [](const DownHyp& a, const DownHyp& b) { return a.height > b.height; });
   if (hyps.size() > 6) hyps.resize(6);
 
+  // Step-2 check window at `start` for the current hypothesis' CFO:
+  // demodulated on first use, replayed from the memo afterwards.
+  auto check_window = [&](double start, double eps,
+                          bool up) -> PassMemo::CheckWindow {
+    for (const PassMemo::CheckWindow& w : memo.checks) {
+      if (w.start == start && w.up == up) return w;
+    }
+    auto& window = ws.iq_scratch(0);
+    window.resize(sps);
+    extract_window(trace, start, window);
+    demod_.signal_vector_into(window, eps, up, ws, sv);
+    PassMemo::CheckWindow w{.start = start, .up = up, .floor = noise_floor(sv)};
+    for (std::size_t i = 0; i < kCheckBins.size(); ++i) {
+      for (int d = -1; d <= 1; ++d) {
+        const std::size_t b = static_cast<std::size_t>(
+            floor_mod(static_cast<std::int64_t>(kCheckBins[i]) + d,
+                      static_cast<std::int64_t>(p_.n_bins())));
+        w.energy[i] = std::max(w.energy[i], static_cast<double>(sv[b]));
+      }
+    }
+    memo.checks.push_back(w);
+    return w;
+  };
+
   int best_score = -1;
   double best_t0 = 0.0, best_eps = 0.0, best_strength = 0.0;
   for (const DownHyp& hyp : hyps) {
@@ -226,6 +259,7 @@ void Detector::resolve_candidate(std::span<const cfloat> trace,
     const double delta = floor_mod(cand.x1 - eps, n);  // chirp samples
 
     // --- Step 2: validate candidate start times at j*T offsets. ---
+    memo.checks.clear();
     const double w0 = static_cast<double>(cand.first_window * sps);
     const double t0_prelim = w0 - delta * osf;
     for (int j = -2; j <= 2; ++j) {
@@ -234,21 +268,23 @@ void Detector::resolve_candidate(std::span<const cfloat> trace,
       if (t0 < -0.5) continue;
       int score = 0;
       double strength = 0.0;
-      auto check = [&](double sym_idx, std::size_t bin, bool up) {
+      // Folded energy near kCheckBins[slot], relative to the noise floor.
+      auto check = [&](double sym_idx, std::size_t slot, bool up) {
         const double start = t0 + sym_idx * static_cast<double>(sps);
         if (start + static_cast<double>(sps) >
             static_cast<double>(trace.size())) {
           return;
         }
-        const double rel = relative_energy_at(trace, start, eps, bin, up, ws);
+        const PassMemo::CheckWindow w = check_window(start, eps, up);
+        const double rel = w.energy[slot] / w.floor;
         if (rel >= opt_.peak_floor_ratio) {
           ++score;
           strength += rel;
         }
       };
       for (int m = 0; m < 8; ++m) check(m, 0, true);
-      check(8.0, lora::kSyncShift1, true);
-      check(9.0, lora::kSyncShift2, true);
+      check(8.0, 1, true);   // kSyncShift1
+      check(9.0, 2, true);   // kSyncShift2
       check(10.0, 0, false);
       check(11.0, 0, false);
       if (score > best_score ||
@@ -272,18 +308,13 @@ void Detector::resolve_candidate(std::span<const cfloat> trace,
   out.push_back(pkt);
 }
 
-std::vector<DetectedPacket> Detector::detect(std::span<const cfloat> trace) const {
-  thread_local lora::Workspace tls_ws;
-  return detect(trace, tls_ws);
-}
-
 std::vector<DetectedPacket> Detector::detect(std::span<const cfloat> trace,
                                              lora::Workspace& ws) const {
   ws.reserve(p_);
   std::vector<DetectedPacket> out;
-  const std::vector<Candidate> candidates = find_runs(trace, ws);
-  for (const Candidate& cand : candidates) {
-    resolve_candidate(trace, cand, ws, out);
+  PassMemo memo;
+  for (const Candidate& cand : find_runs(trace, ws)) {
+    resolve_candidate(trace, cand, ws, memo, out);
   }
   std::sort(out.begin(), out.end(),
             [](const DetectedPacket& a, const DetectedPacket& b) {

@@ -52,11 +52,12 @@ class Detector {
   /// Detects all preambles in `trace`. Results are coarse (integer-sample
   /// timing, integer-bin CFO with interpolation refinement); feed them to
   /// FracSync for the paper's step-4 refinement. Sorted by t0. `ws`
-  /// supplies all demodulation scratch (general slot 0 and SV slot 0 are
-  /// clobbered); the overload without one uses a per-thread workspace.
+  /// supplies all demodulation scratch (general slots 0 and 1 and SV slot
+  /// 0 are clobbered). Each step-2 check window and each downchirp window
+  /// is demodulated once per call (DESIGN.md "Hot-path kernels"); nothing
+  /// is kept between calls.
   std::vector<DetectedPacket> detect(std::span<const cfloat> trace,
                                      lora::Workspace& ws) const;
-  std::vector<DetectedPacket> detect(std::span<const cfloat> trace) const;
 
  private:
   struct Candidate {
@@ -66,20 +67,16 @@ class Detector {
     double mean_power = 0.0;
   };
 
+  /// Demodulation results shared within one detect() call (detect.cpp).
+  struct PassMemo;
+
   std::vector<Candidate> find_runs(std::span<const cfloat> trace,
                                    lora::Workspace& ws) const;
 
   /// Steps 2+3 for one candidate; returns validated packets (possibly none).
   void resolve_candidate(std::span<const cfloat> trace, const Candidate& cand,
-                         lora::Workspace& ws,
+                         lora::Workspace& ws, PassMemo& memo,
                          std::vector<DetectedPacket>& out) const;
-
-  /// Folded energy near `bin` (max over bin-1..bin+1, cyclic) of the signal
-  /// vector of the window starting at `start`, relative to the vector
-  /// median. `up` selects the dechirp reference.
-  double relative_energy_at(std::span<const cfloat> trace, double start,
-                            double cfo_cycles, std::size_t bin, bool up,
-                            lora::Workspace& ws) const;
 
   lora::Params p_;
   DetectorOptions opt_;

@@ -77,10 +77,8 @@ const SymbolView& SigCalc::data_symbol(int pkt_index, const PacketContext& ctx,
   SymbolView view;
   vector_at_into(ctx.data_symbol_start(d), ctx.cfo_cycles(), /*up=*/true,
                  view.sv);
-  {
-    median_scratch_.assign(view.sv.begin(), view.sv.end());
-    view.median = dsp::median_of(median_scratch_);
-  }
+  median_scratch_.assign(view.sv.begin(), view.sv.end());
+  view.median = dsp::median_in_place(median_scratch_);
   dsp::PeakFinderOptions pf;
   pf.circular = true;
   pf.max_peaks = kMaxPeaks;

@@ -37,20 +37,22 @@ std::vector<double> smooth_fit(std::span<const double> data) {
   return smooth_moving(data, default_smooth_window(data.size()));
 }
 
-double median_of(std::span<const double> data) {
+double median_in_place(std::span<double> data) {
   if (data.empty()) return 0.0;
-  std::vector<double> tmp(data.begin(), data.end());
-  const std::size_t mid = tmp.size() / 2;
-  std::nth_element(tmp.begin(), tmp.begin() + static_cast<std::ptrdiff_t>(mid),
-                   tmp.end());
-  double m = tmp[mid];
-  if (tmp.size() % 2 == 0) {
+  const auto mid = data.begin() + static_cast<std::ptrdiff_t>(data.size() / 2);
+  std::nth_element(data.begin(), mid, data.end());
+  double m = *mid;
+  if (data.size() % 2 == 0) {
     // Lower middle: largest of the first half.
-    double lower =
-        *std::max_element(tmp.begin(), tmp.begin() + static_cast<std::ptrdiff_t>(mid));
+    const double lower = *std::max_element(data.begin(), mid);
     m = (m + lower) / 2.0;
   }
   return m;
+}
+
+double median_of(std::span<const double> data) {
+  std::vector<double> tmp(data.begin(), data.end());
+  return median_in_place(tmp);
 }
 
 double median_abs_dev(std::span<const double> data,
@@ -62,7 +64,7 @@ double median_abs_dev(std::span<const double> data,
   for (std::size_t i = 0; i < data.size(); ++i) {
     dev[i] = std::abs(data[i] - fit[i]);
   }
-  return median_of(dev);
+  return median_in_place(dev);
 }
 
 }  // namespace tnb::dsp

@@ -26,7 +26,12 @@ std::size_t default_smooth_window(std::size_t n);
 /// smooth_moving with the default window for the data length.
 std::vector<double> smooth_fit(std::span<const double> data);
 
-/// Median of a sequence (copies; n == 0 returns 0).
+/// Median of `data` by in-place selection: reorders `data` and allocates
+/// nothing, so callers can run it on their own scratch (n == 0 returns 0).
+/// An even length averages the two middle values.
+double median_in_place(std::span<double> data);
+
+/// Median of a sequence: median_in_place on a copy, the same value.
 double median_of(std::span<const double> data);
 
 /// Median of |data[i] - fit[i]|. Sizes must match.

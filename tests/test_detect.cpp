@@ -47,7 +47,8 @@ TEST(Detector, FindsCleanPacket) {
   const double t0 = 3000.0;
   const IqBuffer trace = one_packet_trace(p, t0, 0.0, 1.0, 0.0, rng);
   const Detector det(p);
-  const auto found = det.detect(trace);
+  lora::Workspace ws;
+  const auto found = det.detect(trace, ws);
   ASSERT_EQ(found.size(), 1u);
   EXPECT_NEAR(found[0].t0, t0, 2.0 * p.osf);  // within ~2 chirp samples
   EXPECT_NEAR(found[0].cfo_cycles, 0.0, 1.0);
@@ -63,7 +64,8 @@ TEST_P(DetectorCfo, EstimatesCfoWithinOneBin) {
   const double t0 = 5000.0;
   const IqBuffer trace = one_packet_trace(p, t0, cfo_hz, 1.0, 0.5, rng);
   const Detector det(p);
-  const auto found = det.detect(trace);
+  lora::Workspace ws;
+  const auto found = det.detect(trace, ws);
   ASSERT_EQ(found.size(), 1u);
   EXPECT_NEAR(found[0].cfo_cycles, p.cfo_hz_to_cycles(cfo_hz), 1.0);
   EXPECT_NEAR(found[0].t0, t0, 2.0 * p.osf);
@@ -79,7 +81,8 @@ TEST(Detector, FindsPacketAtFractionalOffset) {
   const double t0 = 4321.625;
   const IqBuffer trace = one_packet_trace(p, t0, 1234.0, 1.0, 0.5, rng);
   const Detector det(p);
-  const auto found = det.detect(trace);
+  lora::Workspace ws;
+  const auto found = det.detect(trace, ws);
   ASSERT_EQ(found.size(), 1u);
   EXPECT_NEAR(found[0].t0, t0, 2.0 * p.osf);
 }
@@ -91,7 +94,8 @@ TEST(Detector, FindsPacketInNoise) {
   const IqBuffer trace = one_packet_trace(p, 6000.0, -2000.0, 1.0,
                                           chan::fullband_noise_power(p.osf), rng);
   const Detector det(p);
-  const auto found = det.detect(trace);
+  lora::Workspace ws;
+  const auto found = det.detect(trace, ws);
   ASSERT_EQ(found.size(), 1u);
   EXPECT_NEAR(found[0].t0, 6000.0, 2.0 * p.osf);
 }
@@ -102,7 +106,8 @@ TEST(Detector, EmptyTraceNoDetections) {
   IqBuffer trace(40 * p.sps(), cfloat{0.0f, 0.0f});
   chan::add_awgn(trace, chan::fullband_noise_power(p.osf), rng);
   const Detector det(p);
-  EXPECT_TRUE(det.detect(trace).empty());
+  lora::Workspace ws;
+  EXPECT_TRUE(det.detect(trace, ws).empty());
 }
 
 TEST(Detector, TwoSeparatedPackets) {
@@ -120,7 +125,8 @@ TEST(Detector, TwoSeparatedPackets) {
   }
   chan::add_awgn(trace, 0.5, rng);
   const Detector det(p);
-  const auto found = det.detect(trace);
+  lora::Workspace ws;
+  const auto found = det.detect(trace, ws);
   ASSERT_EQ(found.size(), 2u);
   EXPECT_NEAR(found[0].t0, t0a, 2.0 * p.osf);
   EXPECT_NEAR(found[1].t0, t0b, 2.0 * p.osf);
@@ -152,7 +158,8 @@ TEST(Detector, CollidedPreamblesBothFound) {
   }
   chan::add_awgn(trace, 0.5, rng);
   const Detector det(p);
-  const auto found = det.detect(trace);
+  lora::Workspace ws;
+  const auto found = det.detect(trace, ws);
   ASSERT_EQ(found.size(), 2u);
   EXPECT_NEAR(found[0].t0, t0a, 2.0 * p.osf);
   EXPECT_NEAR(found[1].t0, t0b, 2.0 * p.osf);

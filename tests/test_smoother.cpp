@@ -71,6 +71,12 @@ TEST(Smoother, MedianOddEven) {
   EXPECT_NEAR(median_of(even), 2.5, 1e-12);
   std::vector<double> empty;
   EXPECT_EQ(median_of(empty), 0.0);
+  EXPECT_EQ(median_in_place(empty), 0.0);
+  // In place: the same value, with `data` reordered around the middle.
+  EXPECT_EQ(median_in_place(even), 2.5);
+  EXPECT_EQ(even[2], 3.0);
+  EXPECT_EQ(median_in_place(odd), 2.0);
+  EXPECT_EQ(odd[1], 2.0);
 }
 
 TEST(Smoother, MedianAbsDev) {
