@@ -1,8 +1,7 @@
 // Runtime CPU-feature detection for the SIMD kernel dispatch
 // (dsp/fft_backend.hpp). Header-only: each predicate is a cheap wrapper
-// over the compiler's CPU model (x86) or the architecture baseline
-// (AArch64, where NEON is mandatory), and returns false on every other
-// platform so callers never need their own #ifdef ladders.
+// over the compiler's CPU model and returns false on every platform other
+// than x86-64, so callers never need their own #ifdef ladders.
 #pragma once
 
 namespace tnb::common {
@@ -21,15 +20,6 @@ inline bool cpu_has_avx2() {
 inline bool cpu_has_avx512() {
 #if defined(__x86_64__) || defined(_M_X64)
   return __builtin_cpu_supports("avx512f") && cpu_has_avx2();
-#else
-  return false;
-#endif
-}
-
-/// True on AArch64, where Advanced SIMD (NEON) is part of the baseline.
-inline bool cpu_has_neon() {
-#if defined(__aarch64__) || defined(_M_ARM64)
-  return true;
 #else
   return false;
 #endif

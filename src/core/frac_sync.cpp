@@ -6,6 +6,7 @@
 
 #include "core/window.hpp"
 
+#include "common/aligned.hpp"
 #include "common/math_util.hpp"
 #include "dsp/fft_backend.hpp"
 
@@ -49,10 +50,26 @@ cfloat symbol_phase(double cfo, int m) {
   return {static_cast<float>(std::cos(ph)), static_cast<float>(std::sin(ph))};
 }
 
-/// sum[k] += spec[k] * rot, routed through the active SIMD backend.
-inline void rotate_accumulate(const cfloat* spec, std::size_t n, cfloat rot,
-                              cfloat* sum) {
-  dsp::active_fft_backend().rotate_accumulate(spec, n, rot, sum);
+/// The coherent sums feed only Demodulator::fold, which reads bins
+/// [0, N) and their oversampling image [sps - N, sps) (N = 2^SF; the two
+/// ranges are one at OSF 1). Bins between them are neither zeroed nor
+/// accumulated. Each bin is independent and both ranges start on a whole
+/// SIMD chunk (N >= 32), so every read bin gets the arithmetic of a
+/// full-length accumulation on every backend.
+void clear_folded_bins(common::aligned_vector<cfloat>& sum, std::size_t n,
+                       std::size_t sps) {
+  sum.resize(sps);
+  std::fill_n(sum.begin(), n, cfloat{0.0f, 0.0f});
+  std::fill_n(sum.data() + (sps - n), n, cfloat{0.0f, 0.0f});
+}
+
+/// sum[k] += spec[k] * rot over the folded bins, routed through the
+/// active SIMD backend.
+void accumulate_folded_bins(const cfloat* spec, cfloat rot, std::size_t n,
+                            std::size_t sps, cfloat* sum) {
+  const dsp::FftBackend& be = dsp::active_fft_backend();
+  be.rotate_accumulate(spec, n, rot, sum);
+  if (sps > n) be.rotate_accumulate(spec + (sps - n), n, rot, sum + (sps - n));
 }
 
 }  // namespace
@@ -77,13 +94,14 @@ void FracSync::extract_preamble(std::span<const cfloat> trace, double start,
 FracSync::QEval FracSync::eval_preamble(double theta, double cfo,
                                         lora::Workspace& ws) const {
   const std::size_t sps = p_.sps();
+  const std::size_t n = p_.n_bins();
   const cfloat* block = ws.iq_scratch(kSlotBlock).data();
   auto& spectra = ws.iq_scratch(kSlotSpectra);
   auto& up_sum = ws.iq_scratch(kSlotUpSum);
   auto& down_sum = ws.iq_scratch(kSlotDownSum);
   spectra.resize(kQWindows * sps);
-  up_sum.assign(sps, cfloat{0.0f, 0.0f});
-  down_sum.assign(sps, cfloat{0.0f, 0.0f});
+  clear_folded_bins(up_sum, n, sps);
+  clear_folded_bins(down_sum, n, sps);
 
   // All 10 spectra in two batched invocations (8 upchirp windows, then
   // the 2 downchirps): one phasor lookup and one forward_batch per
@@ -98,12 +116,13 @@ FracSync::QEval FracSync::eval_preamble(double theta, double cfo,
       std::span<cfloat>(spectra.data() + kUp * sps, 2 * sps));
 
   for (int m = 0; m < static_cast<int>(kUp); ++m) {
-    rotate_accumulate(spectra.data() + static_cast<std::size_t>(m) * sps, sps,
-                      symbol_phase(cfo, m), up_sum.data());
+    accumulate_folded_bins(spectra.data() + static_cast<std::size_t>(m) * sps,
+                           symbol_phase(cfo, m), n, sps, up_sum.data());
   }
   for (int m = 10; m <= 11; ++m) {
-    rotate_accumulate(spectra.data() + static_cast<std::size_t>(m - 2) * sps,
-                      sps, symbol_phase(cfo, m), down_sum.data());
+    accumulate_folded_bins(
+        spectra.data() + static_cast<std::size_t>(m - 2) * sps,
+        symbol_phase(cfo, m), n, sps, down_sum.data());
   }
 
   SignalVector& up_sv = ws.sv_scratch(0);
@@ -142,6 +161,7 @@ FracSyncResult FracSync::refine(std::span<const cfloat> trace, double t0,
                                 double cfo_cycles, lora::Workspace& ws) const {
   ws.reserve(p_);
   const std::size_t sps = p_.sps();
+  const std::size_t n = p_.n_bins();
 
   // Phase 1: df along dt = 0, from -1 to 0 in steps of 1/16 (17 points),
   // ungated Q. Finds the correct fractional CFO or one off by +/-1.
@@ -174,17 +194,19 @@ FracSyncResult FracSync::refine(std::span<const cfloat> trace, double t0,
     SignalVector& down_sv = ws.sv_scratch(1);
     for (int i = 0; i <= 16; ++i) {
       const double df = -1.0 + static_cast<double>(i) / 16.0;
-      up_sum.assign(sps, cfloat{0.0f, 0.0f});
-      down_sum.assign(sps, cfloat{0.0f, 0.0f});
+      clear_folded_bins(up_sum, n, sps);
+      clear_folded_bins(down_sum, n, sps);
       // Same phase-continuity as eval_preamble: the full correction
       // (coarse + df) determines the inter-symbol rotation.
       for (int m = 0; m < static_cast<int>(lora::kPreambleUpchirps); ++m) {
-        rotate_accumulate(spectra.data() + static_cast<std::size_t>(m) * sps,
-                          sps, symbol_phase(cfo_cycles + df, m), up_sum.data());
+        accumulate_folded_bins(
+            spectra.data() + static_cast<std::size_t>(m) * sps,
+            symbol_phase(cfo_cycles + df, m), n, sps, up_sum.data());
       }
       for (int m = 10; m <= 11; ++m) {
-        rotate_accumulate(spectra.data() + static_cast<std::size_t>(m - 2) * sps,
-                          sps, symbol_phase(cfo_cycles + df, m), down_sum.data());
+        accumulate_folded_bins(
+            spectra.data() + static_cast<std::size_t>(m - 2) * sps,
+            symbol_phase(cfo_cycles + df, m), n, sps, down_sum.data());
       }
       demod_.fold(up_sum, up_sv);
       demod_.fold(down_sum, down_sv);

@@ -29,28 +29,30 @@ FftPlan::FftPlan(std::size_t n) : n_(n) {
     bitrev_[i] = r;
   }
 
-  twiddle_fwd_.resize(n / 2);
-  twiddle_inv_.resize(n / 2);
+  // Every twiddle is e^{-j 2 pi k / N} for some k in [0, N/2), rounded
+  // from double once; a stage of half-width h reads k = i * N / 2h for
+  // i in [0, h). The inverse tables hold the conjugates.
+  std::vector<cfloat> base(n / 2);
   for (std::size_t k = 0; k < n / 2; ++k) {
     const double ang = -kTwoPi * static_cast<double>(k) / static_cast<double>(n);
-    twiddle_fwd_[k] = {static_cast<float>(std::cos(ang)),
-                       static_cast<float>(std::sin(ang))};
-    twiddle_inv_[k] = std::conj(twiddle_fwd_[k]);
+    base[k] = {static_cast<float>(std::cos(ang)),
+               static_cast<float>(std::sin(ang))};
   }
-
-  // Per-stage packed layout: the stage with half-width h reads the same
-  // h values the strided loop reads (stride n / 2h over the table
-  // above), copied contiguously so SIMD butterflies load them with unit
-  // stride. Exactly the same floats — layout only, never recomputed.
-  if (n >= 2) {
-    stage_tw_fwd_.resize(n - 1);
-    stage_tw_inv_.resize(n - 1);
-    for (std::size_t half = 1; half <= n / 2; half <<= 1) {
-      const std::size_t step = n / (2 * half);
-      for (std::size_t k = 0; k < half; ++k) {
-        stage_tw_fwd_[half - 1 + k] = twiddle_fwd_[k * step];
-        stage_tw_inv_[half - 1 + k] = twiddle_inv_[k * step];
-      }
+  stage_tw_fwd_.resize(n);
+  stage_tw_inv_.resize(n);
+  stage_tw_re_.resize(n);
+  stage_tw_im_fwd_.resize(n);
+  stage_tw_im_inv_.resize(n);
+  for (std::size_t half = 1; half < n; half <<= 1) {
+    const std::size_t step = n / (2 * half);
+    for (std::size_t i = 0; i < half; ++i) {
+      const cfloat w = base[i * step];
+      const cfloat w_inv = std::conj(w);
+      stage_tw_fwd_[half + i] = w;
+      stage_tw_inv_[half + i] = w_inv;
+      stage_tw_re_[half + i] = w.real();
+      stage_tw_im_fwd_[half + i] = w.imag();
+      stage_tw_im_inv_[half + i] = w_inv.imag();
     }
   }
 }

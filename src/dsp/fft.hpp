@@ -5,10 +5,10 @@
 // Cooley-Tukey radix-2 transform with precomputed twiddles is sufficient and
 // keeps the library dependency-free.
 //
-// A plan owns the size-dependent tables (bit-reverse permutation, twiddles
-// in both stride-indexed and per-stage packed layouts); the arithmetic is
+// A plan owns the size-dependent tables (bit-reverse permutation and the
+// per-stage twiddles, interleaved and split into re/im); the arithmetic is
 // executed by the process-global dsp::FftBackend (fft_backend.hpp), so one
-// runtime dispatch decision serves scalar, AVX2, AVX-512 and NEON kernels.
+// runtime dispatch decision serves the scalar, AVX2 and AVX-512 kernels.
 #pragma once
 
 #include <cstddef>
@@ -57,18 +57,21 @@ class FftPlan {
   /// Bit-reverse permutation, length size().
   std::span<const std::uint32_t> bitrev() const { return bitrev_; }
 
-  /// Stride-indexed twiddles e^{-+j 2 pi k / N}, k in [0, N/2): stage with
-  /// butterfly half-width h uses entries k * (N / 2h).
-  std::span<const cfloat> twiddles(bool inverse) const {
-    return inverse ? twiddle_inv_ : twiddle_fwd_;
-  }
-
-  /// Per-stage packed twiddles, length N-1: the stage with half-width h
-  /// (h = 1, 2, 4, ..., N/2) owns the h contiguous entries starting at
-  /// offset h-1. Same values as twiddles(), laid out so SIMD butterfly
-  /// loops load them with unit stride.
+  /// Per-stage packed twiddles, length N: the stage with butterfly
+  /// half-width h (h = 1, 2, 4, ..., N/2) owns the h contiguous entries
+  /// [h, 2h), entry k being e^{-+j 2 pi k / 2h}; entry 0 is unused. Unit
+  /// stride within a stage, so SIMD butterfly loops load them directly.
   std::span<const cfloat> stage_twiddles(bool inverse) const {
     return inverse ? stage_tw_inv_ : stage_tw_fwd_;
+  }
+
+  /// The same stage_twiddles() floats split into real and imaginary
+  /// arrays (layout only) for kernels that keep re and im in separate
+  /// vectors. The inverse twiddles are the conjugates, so both directions
+  /// share the real parts.
+  std::span<const float> stage_twiddles_re() const { return stage_tw_re_; }
+  std::span<const float> stage_twiddles_im(bool inverse) const {
+    return inverse ? stage_tw_im_inv_ : stage_tw_im_fwd_;
   }
 
  private:
@@ -77,10 +80,11 @@ class FftPlan {
   std::size_t n_;
   unsigned log2n_;
   std::vector<std::uint32_t> bitrev_;
-  std::vector<cfloat> twiddle_fwd_;  // e^{-j 2 pi k / N}, k in [0, N/2)
-  std::vector<cfloat> twiddle_inv_;
-  std::vector<cfloat> stage_tw_fwd_;  // packed per stage, N-1 entries
+  std::vector<cfloat> stage_tw_fwd_;  // packed per stage, N entries
   std::vector<cfloat> stage_tw_inv_;
+  std::vector<float> stage_tw_re_;  // split copies of the above
+  std::vector<float> stage_tw_im_fwd_;
+  std::vector<float> stage_tw_im_inv_;
 };
 
 /// Returns a shared plan for length `n`, creating it on first use.

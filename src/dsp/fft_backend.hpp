@@ -11,10 +11,13 @@
 // through the active backend.
 //
 // Contract:
-//  - "scalar" is always available, is the default, and is bit-identical
-//    to the pre-backend code (the decode-ab-diff CI job gates this).
-//  - SIMD backends (avx2 / avx512 / neon) legitimately reorder float ops
-//    (FMA contraction inside complex multiplies), so their outputs are
+//  - "scalar" is always available and is the default. Every output
+//    element goes through the same single-precision operations, in the
+//    same order, as the one-element loops in testing/reference_fft.hpp;
+//    how many elements run at once is free. It is therefore bit-identical
+//    to them (tests/test_fft_backend.cpp, the decode-ab-diff CI job).
+//  - SIMD backends (avx2 / avx512) legitimately reorder float ops (FMA
+//    contraction inside complex multiplies), so their outputs are
 //    equivalent only to tolerance; tests/test_fft_backend.cpp pins the
 //    per-transform ULP bound and the end-to-end decode agreement.
 //  - For any single backend, results are deterministic and
@@ -80,8 +83,8 @@ class FftBackend {
   static void scale_inverse(std::size_t n, cfloat* data);
 };
 
-/// The always-available scalar reference backend (bit-identical to the
-/// pre-backend FFT/demod code).
+/// The always-available default backend: the reference loops' operations,
+/// four elements at a time on generic vectors (SSE2 / NEON).
 const FftBackend& fft_backend_scalar();
 
 /// Backends compiled in AND supported by this CPU, scalar first, in

@@ -29,32 +29,6 @@ inline __m256 cmul(__m256 a, __m256 b) {
   return _mm256_fmaddsub_ps(ar, b, _mm256_mul_ps(ai, bs));
 }
 
-/// Scalar butterfly fallback for tiny transforms (n < 16): the channelizer
-/// runs 2..8-point DFTs where vector setup would dominate. Same code as
-/// the scalar backend, so tiny sizes are additionally bit-identical.
-void butterflies_scalar(float* af, const float* twf, std::size_t n) {
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const std::size_t half = len >> 1;
-    const std::size_t step = n / len;
-    for (std::size_t block = 0; block < n; block += len) {
-      std::size_t tw_idx = 0;
-      float* lo = af + 2 * block;
-      float* hi = af + 2 * (block + half);
-      for (std::size_t k = 0; k < 2 * half; k += 2, tw_idx += 2 * step) {
-        const float wr = twf[tw_idx], wi = twf[tw_idx + 1];
-        const float br = hi[k], bi = hi[k + 1];
-        const float vr = br * wr - bi * wi;
-        const float vi = br * wi + bi * wr;
-        const float ur = lo[k], ui = lo[k + 1];
-        lo[k] = ur + vr;
-        lo[k + 1] = ui + vi;
-        hi[k] = ur - vr;
-        hi[k + 1] = ui - vi;
-      }
-    }
-  }
-}
-
 /// Stage len == 2 (twiddle 1): out pairs (a+b, a-b), 2 butterflies per
 /// 256-bit vector. Requires n % 4 == 0.
 void stage_len2(float* af, std::size_t n) {
@@ -95,7 +69,7 @@ void stage_len4(float* af, std::size_t n, bool inverse) {
 void stage_generic(float* af, const float* stage_tw, std::size_t n,
                    std::size_t len) {
   const std::size_t half = len >> 1;
-  const float* tw = stage_tw + 2 * (half - 1);
+  const float* tw = stage_tw + 2 * half;
   for (std::size_t block = 0; block < n; block += len) {
     float* lo = af + 2 * block;
     float* hi = af + 2 * (block + half);
@@ -116,20 +90,20 @@ class Avx2Backend final : public FftBackend {
 
   void transform(const FftPlan& plan, cfloat* a, bool inverse) const override {
     const std::size_t n = plan.size();
+    if (n < 16) {
+      // Below 16 points the shuffle set-up dominates: run the scalar
+      // backend, which makes tiny sizes bit-identical to it as well.
+      fft_backend_scalar().transform(plan, a, inverse);
+      return;
+    }
     bit_reverse(plan, a);
     float* af = reinterpret_cast<float*>(a);
-    if (n < 16) {
-      const float* twf =
-          reinterpret_cast<const float*>(plan.twiddles(inverse).data());
-      butterflies_scalar(af, twf, n);
-    } else {
-      const float* stage_tw =
-          reinterpret_cast<const float*>(plan.stage_twiddles(inverse).data());
-      stage_len2(af, n);
-      stage_len4(af, n, inverse);
-      for (std::size_t len = 8; len <= n; len <<= 1) {
-        stage_generic(af, stage_tw, n, len);
-      }
+    const float* stage_tw =
+        reinterpret_cast<const float*>(plan.stage_twiddles(inverse).data());
+    stage_len2(af, n);
+    stage_len4(af, n, inverse);
+    for (std::size_t len = 8; len <= n; len <<= 1) {
+      stage_generic(af, stage_tw, n, len);
     }
     if (inverse) scale_inverse(n, a);
   }

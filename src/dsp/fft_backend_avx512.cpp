@@ -34,29 +34,6 @@ inline __m512 cmul512(__m512 a, __m512 b) {
   return _mm512_fmaddsub_ps(ar, b, _mm512_mul_ps(ai, bs));
 }
 
-void butterflies_scalar(float* af, const float* twf, std::size_t n) {
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const std::size_t half = len >> 1;
-    const std::size_t step = n / len;
-    for (std::size_t block = 0; block < n; block += len) {
-      std::size_t tw_idx = 0;
-      float* lo = af + 2 * block;
-      float* hi = af + 2 * (block + half);
-      for (std::size_t k = 0; k < 2 * half; k += 2, tw_idx += 2 * step) {
-        const float wr = twf[tw_idx], wi = twf[tw_idx + 1];
-        const float br = hi[k], bi = hi[k + 1];
-        const float vr = br * wr - bi * wi;
-        const float vi = br * wi + bi * wr;
-        const float ur = lo[k], ui = lo[k + 1];
-        lo[k] = ur + vr;
-        lo[k + 1] = ui + vi;
-        hi[k] = ur - vr;
-        hi[k + 1] = ui - vi;
-      }
-    }
-  }
-}
-
 void stage_len2(float* af, std::size_t n) {
   for (std::size_t i = 0; i < 2 * n; i += 8) {
     const __m256 v = _mm256_loadu_ps(af + i);
@@ -86,7 +63,7 @@ void stage_len4(float* af, std::size_t n, bool inverse) {
 
 /// Stage len == 8 (half == 4): one 256-bit butterfly per block half.
 void stage_len8(float* af, const float* stage_tw, std::size_t n) {
-  const float* tw = stage_tw + 2 * 3;  // half - 1 == 3
+  const float* tw = stage_tw + 2 * 4;  // half == 4
   const __m256 w = _mm256_loadu_ps(tw);
   for (std::size_t block = 0; block < n; block += 8) {
     float* lo = af + 2 * block;
@@ -103,7 +80,7 @@ void stage_len8(float* af, const float* stage_tw, std::size_t n) {
 void stage_generic(float* af, const float* stage_tw, std::size_t n,
                    std::size_t len) {
   const std::size_t half = len >> 1;
-  const float* tw = stage_tw + 2 * (half - 1);
+  const float* tw = stage_tw + 2 * half;
   for (std::size_t block = 0; block < n; block += len) {
     float* lo = af + 2 * block;
     float* hi = af + 2 * (block + half);
@@ -124,21 +101,21 @@ class Avx512Backend final : public FftBackend {
 
   void transform(const FftPlan& plan, cfloat* a, bool inverse) const override {
     const std::size_t n = plan.size();
+    if (n < 32) {
+      // Below 32 points the shuffle set-up dominates: run the scalar
+      // backend, which makes tiny sizes bit-identical to it as well.
+      fft_backend_scalar().transform(plan, a, inverse);
+      return;
+    }
     bit_reverse(plan, a);
     float* af = reinterpret_cast<float*>(a);
-    if (n < 32) {
-      const float* twf =
-          reinterpret_cast<const float*>(plan.twiddles(inverse).data());
-      butterflies_scalar(af, twf, n);
-    } else {
-      const float* stage_tw =
-          reinterpret_cast<const float*>(plan.stage_twiddles(inverse).data());
-      stage_len2(af, n);
-      stage_len4(af, n, inverse);
-      stage_len8(af, stage_tw, n);
-      for (std::size_t len = 16; len <= n; len <<= 1) {
-        stage_generic(af, stage_tw, n, len);
-      }
+    const float* stage_tw =
+        reinterpret_cast<const float*>(plan.stage_twiddles(inverse).data());
+    stage_len2(af, n);
+    stage_len4(af, n, inverse);
+    stage_len8(af, stage_tw, n);
+    for (std::size_t len = 16; len <= n; len <<= 1) {
+      stage_generic(af, stage_tw, n, len);
     }
     if (inverse) scale_inverse(n, a);
   }

@@ -4,7 +4,9 @@
 #include <bit>
 #include <cmath>
 #include <complex>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -29,6 +31,7 @@
 #include "stream/chunk_source.hpp"
 #include "stream/streaming_receiver.hpp"
 #include "testing/arbitrary.hpp"
+#include "testing/reference_fft.hpp"
 #include "wire/wire_codec.hpp"
 #include "wire/wire_format.hpp"
 
@@ -721,6 +724,74 @@ void oracle_fft_backend(FuzzInput& in) {
   TNB_ORACLE(std::memcmp(batched.data(), singles.data(),
                          count * n * sizeof(cfloat)) == 0,
              std::string(be.name()) + ": transform_batch != per-row transform");
+
+  // The scalar backend performs the reference loops' operations on every
+  // element in the same order, so its outputs equal theirs byte for byte:
+  // on the int16-grid input, and on raw float bit patterns (every
+  // exponent, signed zeros, subnormals, infinities) cut cyclically from
+  // the remaining bytes — or, when none remain, from the input's own byte
+  // image shifted by one byte, so exponents come from mantissa bytes. Raw
+  // NaNs become the FPU's default NaN, so no NaN payload can depend on
+  // which operand of a commutative operation a compiler puts first.
+  const std::vector<std::uint8_t> rest = in.rest();
+  const auto* image_bytes = reinterpret_cast<const std::uint8_t*>(input.data());
+  const std::uint8_t* raw = rest.empty() ? image_bytes + 1 : rest.data();
+  const std::size_t raw_size =
+      rest.empty() ? n * sizeof(cfloat) - 1 : rest.size();
+  volatile float inf = std::numeric_limits<float>::infinity();
+  const float default_nan = inf - inf;
+  IqBuffer bits(n);
+  float* f = reinterpret_cast<float*>(bits.data());
+  for (std::size_t i = 0; i < 2 * n; ++i) {
+    std::uint32_t u = 0;
+    for (std::size_t b = 0; b < 4; ++b) {
+      u |= static_cast<std::uint32_t>(raw[(4 * i + b) % raw_size]) << (8 * b);
+    }
+    std::memcpy(&f[i], &u, sizeof u);
+    if (std::isnan(f[i])) f[i] = default_nan;
+  }
+
+  const dsp::FftBackend& scalar = dsp::fft_backend_scalar();
+  auto same = [](const void* x, const void* y, std::size_t bytes) {
+    return std::memcmp(x, y, bytes) == 0;
+  };
+  const IqBuffer* sources[] = {&input, &bits};
+  for (const IqBuffer* src : sources) {
+    for (const bool inv : {false, true}) {
+      IqBuffer ref = *src, out = *src;
+      reference_transform(plan, ref.data(), inv);
+      scalar.transform(plan, out.data(), inv);
+      TNB_ORACLE(same(ref.data(), out.data(), n * sizeof(cfloat)),
+                 "scalar transform != reference loop (n=" + std::to_string(n) +
+                     (inv ? ", inverse)" : ", forward)"));
+    }
+  }
+
+  // The elementwise kernels on three distinct operands: the raw patterns,
+  // the grid input, and the raw patterns rotated by one element.
+  IqBuffer rotated(n);
+  std::rotate_copy(bits.begin(), bits.begin() + 1, bits.end(), rotated.begin());
+  IqBuffer ref_dc(n), dc(n);
+  reference_dechirp_rotate(bits.data(), n, input.data(), rotated.data(),
+                           ref_dc.data());
+  scalar.dechirp_rotate(bits.data(), n, input.data(), rotated.data(),
+                        dc.data());
+  TNB_ORACLE(same(ref_dc.data(), dc.data(), n * sizeof(cfloat)),
+             "scalar dechirp_rotate != reference loop");
+  const std::size_t half = n / 2;
+  for (const std::size_t image : {std::size_t{0}, half}) {
+    std::vector<float> ref_mag(half), mag(half);
+    reference_mag_fold(bits.data(), half, image, ref_mag.data());
+    scalar.mag_fold(bits.data(), half, image, mag.data());
+    TNB_ORACLE(same(ref_mag.data(), mag.data(), half * sizeof(float)),
+               "scalar mag_fold != reference loop (image=" +
+                   std::to_string(image) + ")");
+  }
+  IqBuffer ref_acc = input, acc = input;
+  reference_rotate_accumulate(bits.data(), n, rotated[0], ref_acc.data());
+  scalar.rotate_accumulate(bits.data(), n, rotated[0], acc.data());
+  TNB_ORACLE(same(ref_acc.data(), acc.data(), n * sizeof(cfloat)),
+             "scalar rotate_accumulate != reference loop");
 }
 
 // ---------------------------------------------------------- impair / traffic

@@ -125,7 +125,10 @@ void oracle_wire_codec_totality(FuzzInput& in);
 /// arbitrary int16-grid spectrum: forward -> inverse recovers the input
 /// within a stage-scaled float bound, transform_batch is bit-identical to
 /// the same transforms run one row at a time, and repeating a transform
-/// on identical input is bit-identical (no hidden state).
+/// on identical input is bit-identical (no hidden state). The scalar
+/// backend's transforms and elementwise kernels equal the reference loops
+/// (reference_fft.hpp) byte for byte, on that spectrum and on raw float
+/// bit patterns cut from the remaining bytes.
 void oracle_fft_backend(FuzzInput& in);
 
 // ---- impair::Pipeline / sim traffic models ----

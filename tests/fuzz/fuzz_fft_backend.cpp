@@ -1,7 +1,8 @@
 // Fuzz harness: dsp::FftBackend. Arbitrary pow2 sizes up to 2^15 on every
-// registered backend (scalar always; avx2/avx512/neon/kissfft when built
-// and supported): determinism, forward->inverse round-trip bound, and
-// transform_batch bit-identity against per-row transforms.
+// registered backend (scalar always; avx2/avx512/kissfft when built and
+// supported): determinism, forward->inverse round-trip bound,
+// transform_batch bit-identity against per-row transforms, and the scalar
+// backend byte-equal to the reference loops on arbitrary float bits.
 #include <cstddef>
 #include <cstdint>
 

@@ -137,8 +137,6 @@ TEST(ImpairGolden, QuantizerMatchesReference) {
 // trip through the trace format returns the quantized samples bit-exactly.
 TEST(ImpairGolden, ReconstructionSurvivesTraceFormat) {
   const auto configs = load_vectors(TNB_IMPAIR_VECTOR_FILE);
-  const lora::Params params{.sf = 8, .cr = 4, .bandwidth_hz = 125e3,
-                            .osf = 4};
   for (const Config& c : configs) {
     if (c.full_scale != 32.0 || c.bits > 12) continue;
     SCOPED_TRACE("bits=" + std::to_string(c.bits));

@@ -5,8 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <limits>
 #include <fstream>
+#include <initializer_list>
+#include <limits>
 #include <sstream>
 
 #include "common/rng.hpp"
@@ -83,7 +84,8 @@ TEST(TraceIo, ChunkReaderMatchesWholeFileRead) {
   const IqBuffer whole = read_trace_i16(path, 2048.0);
 
   // Chunk sizes that do and do not divide the trace length.
-  for (const std::size_t chunk : {1uz, 7uz, 256uz, 1000uz}) {
+  for (const std::size_t chunk :
+       std::initializer_list<std::size_t>{1, 7, 256, 1000}) {
     std::ifstream in(path, std::ios::binary);
     ASSERT_TRUE(in.is_open());
     IqBuffer assembled, piece;

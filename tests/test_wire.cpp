@@ -137,7 +137,7 @@ TEST(WireInterleave, RoundTrip) {
 TEST(WireInterleave, CorruptSymbolHitsOneBitPositionOfEveryRow) {
   // The diagonal interleaver preserves the one-symbol-one-column error
   // model rx::Bec is built on: symbol i carries bit (cwl-1-i) of every row.
-  const unsigned sf_app = 8, cr = 4, cwl = 8;
+  const unsigned sf_app = 8, cwl = 8;
   Rng rng(5);
   std::vector<std::uint8_t> rows(sf_app);
   for (auto& r : rows) r = static_cast<std::uint8_t>(rng.uniform_index(256));
