@@ -7,8 +7,8 @@
 #include <set>
 
 #include "bench_util.hpp"
-#include "core/bec.hpp"
-#include "lora/frame.hpp"
+#include "core/frame_codec.hpp"
+#include "lora/coding.hpp"
 
 using namespace tnb;
 
@@ -57,6 +57,10 @@ int main() {
   // CRC budget changes the packet decode rate (paper 6.9).
   std::printf("\nW budget at CR 1 (packet decode rate, 2 corrupted blocks):\n");
   lora::Params p1{.sf = 8, .cr = 1, .bandwidth_hz = 125e3, .osf = 8};
+  const rx::FrameCodec codec(
+      {p1, /*use_bec=*/true, rx::ImplicitHeader{16, 1}, lora::Coding::kPaper});
+  const lora::Header h = *codec.implicit_header();
+  const lora::CodingTable& paper = lora::coding_table(lora::Coding::kPaper);
   const int trials = bench::full_mode() ? 2000 : 500;
   for (std::size_t w : {5ul, 25ul, 125ul}) {
     Rng rng(3);
@@ -64,19 +68,20 @@ int main() {
     for (int t = 0; t < trials; ++t) {
       std::vector<std::uint8_t> app(14);
       for (auto& b : app) b = static_cast<std::uint8_t>(rng.uniform_index(256));
-      const auto payload = lora::assemble_payload(app);
-      auto symbols = lora::encode_payload_symbols(p1, payload);
+      auto symbols = codec.encode_shifts(app);
       const std::size_t cols = p1.codeword_len();
       const std::size_t n_blocks = symbols.size() / cols;
       std::set<std::size_t> blocks;
       while (blocks.size() < 2) blocks.insert(rng.uniform_index(n_blocks));
       for (std::size_t blk : blocks) {
-        const std::size_t victim = blk * cols + rng.uniform_index(cols);
-        symbols[victim] ^= static_cast<std::uint32_t>(
-            1 + rng.uniform_index((1u << p1.sf) - 1));
+        // XOR the symbol value, as seen after the bin -> value map.
+        std::uint32_t& shift = symbols[blk * cols + rng.uniform_index(cols)];
+        const std::uint32_t v =
+            lora::value_for_bin(paper, p1.sf, shift, false) ^
+            static_cast<std::uint32_t>(1 + rng.uniform_index((1u << p1.sf) - 1));
+        shift = lora::shift_for_value(paper, p1.sf, v, false);
       }
-      const auto r =
-          rx::decode_payload_bec(p1, symbols, payload.size(), rng, nullptr, w);
+      const auto r = codec.decode_frame(symbols, h, rng, nullptr, w);
       if (r.ok) ++ok;
     }
     std::printf("  W=%-4zu rate=%.3f%s\n", w,

@@ -8,7 +8,7 @@
 #include "bench_util.hpp"
 #include "channel/awgn.hpp"
 #include "core/frac_sync.hpp"
-#include "lora/frame.hpp"
+#include "lora/coding.hpp"
 #include "lora/modulator.hpp"
 
 using namespace tnb;
@@ -30,11 +30,11 @@ int main() {
     const double true_dt = rng.uniform(-0.5, 0.5);
     const double true_df = rng.uniform(-0.5, 0.5);
     std::vector<std::uint8_t> app(14, 0x5A);
-    const auto symbols = lora::make_packet_symbols(p, app);
+    const auto symbols = lora::encode_frame(lora::Coding::kPaper, p, app);
     lora::WaveformOptions wopt;
     wopt.frac_delay = true_dt - std::floor(true_dt);
     wopt.cfo_hz = p.cfo_cycles_to_hz(true_df);
-    const IqBuffer pkt = mod.synthesize(symbols, wopt);
+    const IqBuffer pkt = mod.synthesize_shifts(symbols, wopt);
     IqBuffer trace(pkt.size() + 8 * p.sps(), cfloat{0.0f, 0.0f});
     const double t0 =
         2.0 * static_cast<double>(p.sps()) + std::floor(true_dt);

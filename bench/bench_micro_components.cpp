@@ -17,14 +17,14 @@
 #include "common/rng.hpp"
 #include "core/bec.hpp"
 #include "core/frac_sync.hpp"
+#include "core/frame_codec.hpp"
 #include "core/thrive.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/fft_backend.hpp"
 #include "dsp/peak_finder.hpp"
 #include "lora/chirp.hpp"
 #include "lora/demodulator.hpp"
-#include "lora/frame.hpp"
-#include "lora/hamming.hpp"
+#include "lora/coding.hpp"
 #include "lora/modulator.hpp"
 
 using namespace tnb;
@@ -107,12 +107,12 @@ void BM_FracSyncRefine(benchmark::State& state) {
   lora::Params p{.sf = sf, .cr = 4, .bandwidth_hz = 125e3, .osf = 8};
   const lora::Modulator mod(p);
   std::vector<std::uint8_t> app(10, 0x3C);
-  const auto symbols = lora::make_packet_symbols(p, app);
+  const auto symbols = lora::encode_frame(lora::Coding::kPaper, p, app);
   const double sps = static_cast<double>(p.sps());
   lora::WaveformOptions w;
   w.frac_delay = 0.37;
   w.cfo_hz = 1700.0;
-  const IqBuffer pkt = mod.synthesize(symbols, w);
+  const IqBuffer pkt = mod.synthesize_shifts(symbols, w);
   IqBuffer trace(pkt.size() + static_cast<std::size_t>(4.0 * sps),
                  cfloat{0.0f, 0.0f});
   const std::size_t off = 2 * p.sps();
@@ -152,7 +152,7 @@ void BM_BecDecodeBlock(benchmark::State& state) {
   Rng rng(3);
   const rx::Bec bec(8, cr);
   std::vector<std::uint8_t> rows(8);
-  for (auto& r : rows) r = lora::codewords(cr)[rng.uniform_index(16)];
+  for (auto& r : rows) r = lora::codebook(cr)[rng.uniform_index(16)];
   rows[2] ^= 0x11;  // corrupt two columns in one row
   rows[5] ^= 0x03;
   for (auto _ : state) {
@@ -166,13 +166,15 @@ void BM_BecDecodePayload(benchmark::State& state) {
   lora::Params p{.sf = 8, .cr = 4, .bandwidth_hz = 125e3, .osf = 8};
   Rng rng(4);
   std::vector<std::uint8_t> app(14, 0x5A);
-  const auto payload = lora::assemble_payload(app);
-  auto symbols = lora::encode_payload_symbols(p, payload);
+  const rx::FrameCodec codec(
+      {p, /*use_bec=*/true, rx::ImplicitHeader{16, 4}, lora::Coding::kPaper});
+  auto symbols = codec.encode_shifts(app);
   symbols[1] ^= 0x5;
   symbols[9] ^= 0x81;
+  const lora::Header h = *codec.implicit_header();
   for (auto _ : state) {
     Rng r(5);
-    const auto result = rx::decode_payload_bec(p, symbols, payload.size(), r);
+    const auto result = codec.decode_frame(symbols, h, r, nullptr);
     benchmark::DoNotOptimize(&result);
   }
 }
@@ -185,7 +187,7 @@ void BM_ThriveAssign(benchmark::State& state) {
   Rng rng(6);
   const lora::Modulator mod(p);
   std::vector<std::uint8_t> app(14, 0x77);
-  const auto symbols = lora::make_packet_symbols(p, app);
+  const auto symbols = lora::encode_frame(lora::Coding::kPaper, p, app);
   const std::size_t pkt_len = mod.packet_samples(symbols.size());
   IqBuffer trace(pkt_len + static_cast<std::size_t>((3 + m) * static_cast<int>(p.sps())),
                  cfloat{0.0f, 0.0f});
@@ -193,7 +195,7 @@ void BM_ThriveAssign(benchmark::State& state) {
   for (int i = 0; i < m; ++i) {
     lora::WaveformOptions w;
     w.cfo_hz = -3000.0 + 1100.0 * i;
-    const IqBuffer pkt = mod.synthesize(symbols, w);
+    const IqBuffer pkt = mod.synthesize_shifts(symbols, w);
     const double t0 = (2.0 + 0.37 * i) * static_cast<double>(p.sps());
     for (std::size_t s = 0;
          s < pkt.size() && static_cast<std::size_t>(t0) + s < trace.size(); ++s) {

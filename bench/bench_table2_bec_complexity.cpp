@@ -6,8 +6,7 @@
 
 #include "bench_util.hpp"
 #include "core/bec.hpp"
-#include "lora/frame.hpp"
-#include "lora/hamming.hpp"
+#include "lora/coding.hpp"
 
 using namespace tnb;
 
@@ -34,7 +33,7 @@ int main() {
     const rx::Bec bec(sf, row.cr);
     for (int t = 0; t < trials; ++t) {
       std::vector<std::uint8_t> truth(sf);
-      for (auto& r : truth) r = lora::codewords(row.cr)[rng.uniform_index(16)];
+      for (auto& r : truth) r = lora::codebook(row.cr)[rng.uniform_index(16)];
       std::set<unsigned> cols;
       while (cols.size() < row.ncols) {
         cols.insert(static_cast<unsigned>(rng.uniform_index(4 + row.cr)));

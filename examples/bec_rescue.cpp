@@ -9,7 +9,7 @@
 
 #include "common/rng.hpp"
 #include "core/bec.hpp"
-#include "lora/hamming.hpp"
+#include "lora/coding.hpp"
 
 namespace {
 
@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
 
   Rng rng(7);
   std::vector<std::uint8_t> truth(sf);
-  for (auto& r : truth) r = lora::codewords(cr)[rng.uniform_index(16)];
+  for (auto& r : truth) r = lora::codebook(cr)[rng.uniform_index(16)];
   print_block("Transmitted block (each row a codeword):", truth, cols);
 
   // Corrupt two columns — two garbled symbols on the air. With CR 3 this
@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
   std::vector<std::uint8_t> cleaned(sf);
   unsigned default_errors = 0;
   for (unsigned r = 0; r < sf; ++r) {
-    cleaned[r] = lora::default_decode(received[r], cr).codeword;
+    cleaned[r] = lora::nearest_codeword(received[r], lora::codebook(cr)).codeword;
     if (cleaned[r] != truth[r]) ++default_errors;
   }
   std::printf("\n");

@@ -70,10 +70,10 @@ std::vector<Scheme> all_schemes() {
 
 rx::Receiver make_receiver(Scheme s, const lora::Params& p,
                            std::optional<rx::ImplicitHeader> implicit,
-                           rx::CodecFactory codec) {
+                           lora::Coding coding) {
   rx::ReceiverOptions opt;
   opt.implicit_header = implicit;
-  opt.codec_factory = std::move(codec);
+  opt.coding = coding;
   switch (s) {
     case Scheme::kTnB:
       break;  // defaults: Thrive + history + BEC + two passes

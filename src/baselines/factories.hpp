@@ -57,12 +57,12 @@ bool scheme_uses_custom_sync(Scheme s);
 std::vector<Scheme> all_schemes();
 
 /// Builds a fully configured receiver for the scheme. `implicit` switches
-/// every scheme to LoRa implicit-header operation; `codec` overrides the
-/// frame-coding convention (null = paper format, wire::wire_codec_factory()
-/// = gr-lora-sdr wire format) — orthogonal to the scheme, which only picks
-/// the peak assigner / sync front end / error-correction decoder.
+/// every scheme to LoRa implicit-header operation; `coding` selects the
+/// frame format (paper or gr-lora-sdr wire format) — orthogonal to the
+/// scheme, which only picks the peak assigner / sync front end /
+/// error-correction decoder.
 rx::Receiver make_receiver(Scheme s, const lora::Params& p,
                            std::optional<rx::ImplicitHeader> implicit = {},
-                           rx::CodecFactory codec = {});
+                           lora::Coding coding = lora::Coding::kPaper);
 
 }  // namespace tnb::base

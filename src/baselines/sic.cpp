@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "lora/frame.hpp"
+#include "lora/coding.hpp"
 #include "lora/modulator.hpp"
 
 namespace tnb::base {
@@ -14,13 +14,13 @@ SicDecoder::SicDecoder(lora::Params p, SicOptions opt)
 
 void SicDecoder::cancel(IqBuffer& work, const sim::DecodedPacket& pkt,
                         double cfo_hz) const {
-  const auto symbols = lora::make_packet_symbols(p_, pkt.payload);
+  const auto shifts = lora::encode_frame(lora::Coding::kPaper, p_, pkt.payload);
   const lora::Modulator mod(p_);
   lora::WaveformOptions wopt;
   const double start_floor = std::floor(pkt.start_sample);
   wopt.frac_delay = pkt.start_sample - start_floor;
   wopt.cfo_hz = cfo_hz;
-  const IqBuffer ref = mod.synthesize(symbols, wopt);
+  const IqBuffer ref = mod.synthesize_shifts(shifts, wopt);
 
   const std::ptrdiff_t t0 = static_cast<std::ptrdiff_t>(start_floor);
   const std::size_t sps = p_.sps();

@@ -5,9 +5,6 @@
 #include <set>
 #include <stdexcept>
 
-#include "lora/frame.hpp"
-#include "lora/hamming.hpp"
-#include "lora/interleaver.hpp"
 
 namespace tnb::rx {
 namespace {
@@ -38,35 +35,14 @@ BecStats& BecStats::operator+=(const BecStats& o) {
   return *this;
 }
 
-Bec::Bec(unsigned sf, unsigned cr) : sf_(sf), cr_(cr) {
-  // SF here is the block row count; the wire format's reduced-rate header
-  // block has sf_app = sf - 2 rows, so 5 rows (SF5, or SF7 reduced) is the
-  // floor.
+Bec::Bec(unsigned sf, unsigned cr, lora::Coding coding)
+    : sf_(sf), cr_(cr), n_cols_(4 + cr) {
+  // SF here is the block row count; the wire format's reduced-rate first
+  // block has SF-2 rows, so 5 rows (SF5, or SF7 reduced) is the floor.
   if (sf < 5 || sf > 12) throw std::invalid_argument("Bec: SF must be 5..12");
-  if (cr < 1 || cr > 4) throw std::invalid_argument("Bec: CR must be 1..4");
-  n_cols_ = 4 + cr;
-  dmin_ = lora::min_distance(cr);
-  for (unsigned d = 0; d < 16; ++d) book_[d] = lora::codewords(cr)[d];
-}
-
-Bec::Bec(unsigned sf, unsigned cr, const std::array<std::uint8_t, 16>& codebook)
-    : Bec(sf, cr) {
-  book_ = codebook;
+  book_ = lora::codebook(cr, coding);  // throws unless 1 <= cr <= 4
   dmin_ = n_cols_;  // linear code: dmin = min nonzero codeword weight
   for (unsigned d = 1; d < 16; ++d) dmin_ = std::min(dmin_, weight(book_[d]));
-}
-
-std::uint8_t Bec::nearest(std::uint8_t row) const {
-  unsigned best_dist = 9;
-  std::uint8_t best = 0;
-  for (unsigned d = 0; d < 16; ++d) {
-    const unsigned dist = weight(static_cast<std::uint8_t>(row ^ book_[d]));
-    if (dist < best_dist) {
-      best_dist = dist;
-      best = book_[d];
-    }
-  }
-  return best;
 }
 
 std::vector<std::uint8_t> Bec::companions(std::uint8_t mask) const {
@@ -237,7 +213,7 @@ std::vector<std::vector<std::uint8_t>> Bec::decode_block(
   bool any_diff = false;
   bool has_phi2 = false;
   for (unsigned r = 0; r < sf_; ++r) {
-    gamma[r] = nearest(rows[r]);
+    gamma[r] = lora::nearest_codeword(rows[r], book_).codeword;
     const std::uint8_t diff = static_cast<std::uint8_t>(rows[r] ^ gamma[r]);
     dw[r] = weight(diff);
     if (dw[r] == 1) xi |= diff;
@@ -426,113 +402,5 @@ std::vector<std::vector<std::uint8_t>> Bec::decode_block(
 }
 
 std::size_t bec_w_budget(unsigned cr) { return cr == 1 ? 125 : 16; }
-
-BecPacketResult decode_payload_bec(const lora::Params& p,
-                                   std::span<const std::uint32_t> symbols,
-                                   std::size_t payload_len, Rng& rng,
-                                   BecStats* stats, std::size_t w_override) {
-  BecPacketResult result;
-  const std::size_t needed = lora::num_payload_symbols(p, payload_len);
-  if (symbols.size() < needed) return result;
-
-  const auto blocks =
-      lora::payload_blocks_from_symbols(p, symbols.first(needed));
-  const Bec bec(p.bits_per_symbol(), p.cr);
-
-  std::vector<std::vector<std::vector<std::uint8_t>>> candidates;
-  candidates.reserve(blocks.size());
-  for (const auto& blk : blocks) {
-    candidates.push_back(bec.decode_block(blk, stats));
-  }
-
-  // Default (all-Gamma) nibbles, for rescued-codeword accounting.
-  std::vector<std::vector<std::uint8_t>> default_nibbles;
-  for (const auto& blk : blocks) {
-    std::vector<std::uint8_t> nib(p.bits_per_symbol());
-    for (unsigned r = 0; r < p.bits_per_symbol(); ++r) {
-      nib[r] = lora::default_decode(blk[r], p.cr).data;
-    }
-    default_nibbles.push_back(std::move(nib));
-  }
-
-  std::size_t total = 1;
-  bool overflow = false;
-  for (const auto& c : candidates) {
-    if (total > 1'000'000 / std::max<std::size_t>(c.size(), 1)) {
-      overflow = true;
-      break;
-    }
-    total *= c.size();
-  }
-  const std::size_t w = w_override != 0 ? w_override : bec_w_budget(p.cr);
-
-  auto try_combo = [&](std::span<const std::size_t> combo) -> bool {
-    std::vector<std::vector<std::uint8_t>> nibbles;
-    nibbles.reserve(candidates.size());
-    for (std::size_t b = 0; b < candidates.size(); ++b) {
-      const auto& rows = candidates[b][combo[b]];
-      std::vector<std::uint8_t> nib(p.bits_per_symbol());
-      for (unsigned r = 0; r < p.bits_per_symbol(); ++r) nib[r] = rows[r] & 0x0F;
-      nibbles.push_back(std::move(nib));
-    }
-    std::vector<std::uint8_t> payload =
-        lora::payload_from_block_nibbles(p, nibbles, payload_len);
-    if (stats != nullptr) ++stats->crc_checks;
-    if (!lora::check_payload_crc(payload)) return false;
-
-    result.ok = true;
-    result.payload = std::move(payload);
-    result.rescued_codewords = 0;
-    for (std::size_t b = 0; b < candidates.size(); ++b) {
-      const auto& rows = candidates[b][combo[b]];
-      for (unsigned r = 0; r < p.bits_per_symbol(); ++r) {
-        if ((rows[r] & 0x0F) != default_nibbles[b][r]) {
-          ++result.rescued_codewords;
-        }
-      }
-    }
-    return true;
-  };
-
-  std::vector<std::size_t> combo(candidates.size(), 0);
-  if (!overflow && total <= w) {
-    // Enumerate every combination, starting with all-Gamma.
-    for (std::size_t it = 0; it < total; ++it) {
-      if (try_combo(combo)) return result;
-      for (std::size_t b = 0; b < combo.size(); ++b) {
-        if (++combo[b] < candidates[b].size()) break;
-        combo[b] = 0;
-      }
-    }
-    return result;
-  }
-
-  // Randomly sample W combinations (always include the all-Gamma one).
-  if (try_combo(combo)) return result;
-  for (std::size_t it = 1; it < w; ++it) {
-    for (std::size_t b = 0; b < combo.size(); ++b) {
-      combo[b] = rng.uniform_index(candidates[b].size());
-    }
-    if (try_combo(combo)) return result;
-  }
-  return result;
-}
-
-std::optional<lora::Header> decode_header_bec(
-    const lora::Params& p, std::span<const std::uint32_t> header_symbols,
-    BecStats* stats) {
-  if (header_symbols.size() < lora::kHeaderSymbols) return std::nullopt;
-  const std::vector<std::uint8_t> rows = lora::deinterleave_block(
-      header_symbols.first(lora::kHeaderSymbols), p.bits_per_symbol(), 4);
-  const Bec bec(p.bits_per_symbol(), 4);
-  const auto candidates = bec.decode_block(rows, stats);
-  for (const auto& cand : candidates) {
-    std::vector<std::uint8_t> nibbles(p.bits_per_symbol());
-    for (unsigned r = 0; r < p.bits_per_symbol(); ++r) nibbles[r] = cand[r] & 0x0F;
-    const auto hdr = lora::header_from_nibbles(nibbles);
-    if (hdr.has_value()) return hdr;
-  }
-  return std::nullopt;
-}
 
 }  // namespace tnb::rx

@@ -20,9 +20,7 @@
 #include <span>
 #include <vector>
 
-#include "common/rng.hpp"
-#include "lora/header.hpp"
-#include "lora/params.hpp"
+#include "lora/coding.hpp"
 
 namespace tnb::rx {
 
@@ -42,15 +40,12 @@ struct BecStats {
 /// Joint decoder for one SF x (4+CR) code block.
 class Bec {
  public:
-  /// Paper codebook (lora::codewords) for the given coding rate.
-  Bec(unsigned sf, unsigned cr);
-
-  /// Custom linear codebook: `codebook[d]` is the (4+cr)-bit codeword of
-  /// data nibble d. The column error model is codebook-agnostic — the wire
-  /// codec passes its column-major (bit-reversed) codewords here so BEC
-  /// repairs gr-lora-sdr blocks too. The minimum distance is derived from
-  /// the codebook (minimum nonzero codeword weight; the code is linear).
-  Bec(unsigned sf, unsigned cr, const std::array<std::uint8_t, 16>& codebook);
+  /// Decoder for blocks of `sf` rows coded at `cr` with the codebook of
+  /// `coding` (the paper's by default). The column error model is
+  /// codebook-agnostic, so BEC repairs both frame formats. The minimum
+  /// distance is derived from the codebook (minimum nonzero codeword
+  /// weight; both codes are linear): 2, 2, 3, 4 at CR 1-4.
+  Bec(unsigned sf, unsigned cr, lora::Coding coding = lora::Coding::kPaper);
 
   unsigned sf() const { return sf_; }
   unsigned cr() const { return cr_; }
@@ -101,42 +96,14 @@ class Bec {
       std::span<const unsigned> diff_weight, unsigned k1, unsigned k2,
       BecStats* stats) const;
 
-  /// Nearest codeword to `row` under the codebook (Hamming distance, first
-  /// strictly-smaller match wins — identical tie-break to
-  /// lora::default_decode, which keeps the paper path byte-identical).
-  std::uint8_t nearest(std::uint8_t row) const;
-
   unsigned sf_;
   unsigned cr_;
   unsigned n_cols_;
   unsigned dmin_;
-  std::array<std::uint8_t, 16> book_;
+  lora::Codebook book_;
 };
 
 /// CRC budget W per coding rate (paper 6.9): 125 for CR 1, 16 otherwise.
 std::size_t bec_w_budget(unsigned cr);
-
-struct BecPacketResult {
-  bool ok = false;
-  std::vector<std::uint8_t> payload;  ///< dewhitened bytes incl. CRC16
-  std::size_t rescued_codewords = 0;  ///< rows decoded differently (and
-                                      ///< correctly) than the default decoder
-};
-
-/// Decodes payload symbols with BEC: per-block candidates, packet assembly
-/// under the W budget, packet CRC arbitration. `w_override` replaces the
-/// CR-dependent default budget (paper 6.9 notes that W=25 at CR 1 loses
-/// under 5% of packets; the ablation bench measures this).
-BecPacketResult decode_payload_bec(const lora::Params& p,
-                                   std::span<const std::uint32_t> symbols,
-                                   std::size_t payload_len, Rng& rng,
-                                   BecStats* stats = nullptr,
-                                   std::size_t w_override = 0);
-
-/// Decodes the 8 header symbols with BEC (CR 4 block); the header checksum
-/// arbitrates among candidates.
-std::optional<lora::Header> decode_header_bec(
-    const lora::Params& p, std::span<const std::uint32_t> header_symbols,
-    BecStats* stats = nullptr);
 
 }  // namespace tnb::rx

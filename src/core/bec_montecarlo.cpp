@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "core/bec.hpp"
-#include "lora/hamming.hpp"
+#include "lora/coding.hpp"
 
 namespace tnb::rx {
 
@@ -15,7 +15,7 @@ BecMcResult bec_capability_mc(unsigned sf, unsigned cr, unsigned n_err_cols,
   result.trials = trials;
   for (int t = 0; t < trials; ++t) {
     std::vector<std::uint8_t> truth(sf);
-    for (auto& r : truth) r = lora::codewords(cr)[rng.uniform_index(16)];
+    for (auto& r : truth) r = lora::codebook(cr)[rng.uniform_index(16)];
 
     std::set<unsigned> cols;
     while (cols.size() < n_err_cols) {
@@ -37,7 +37,7 @@ BecMcResult bec_capability_mc(unsigned sf, unsigned cr, unsigned n_err_cols,
 
     bool def_ok = true;
     for (unsigned r = 0; r < sf; ++r) {
-      if (lora::default_decode(received[r], cr).codeword != truth[r]) {
+      if (lora::nearest_codeword(received[r], lora::codebook(cr)).codeword != truth[r]) {
         def_ok = false;
         break;
       }

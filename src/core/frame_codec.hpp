@@ -1,37 +1,29 @@
-// FrameCodec: the symbol-coding seam of the receiver pipeline.
+// FrameCodec: the symbol-coding half of the receiver pipeline.
 //
 // The TnB pipeline separates *peak assignment* (detection, Thrive, masking,
 // two-pass — which raw FFT bin each data symbol peaked at) from *frame
-// coding* (how those bins map to bits: gray convention, interleaver,
-// Hamming variant, whitening, header layout, CRC). A FrameCodec owns the
-// second half: it consumes the raw peak bins the assigner produced and
-// yields headers and payloads, and on the transmit side turns application
-// bytes into raw chirp shifts for the modulator.
+// coding* (how those bins map to bits). A FrameCodec owns the second half
+// for one receiver: it consumes the raw peak bins the assigner produced
+// and yields headers and payloads, and on the transmit side turns
+// application bytes into raw chirp shifts for the modulator.
 //
-// Two implementations exist as runtime-selectable peers:
-//   * PaperCodec (this library) — the paper's simplified frame format, the
-//     default; byte-identical to the pre-seam receiver (decode-ab-diff CI).
-//   * wire::WireCodec (src/wire/) — the gr-lora-sdr-compatible wire format
-//     real LoRa transmitters emit (DESIGN.md "Wire format").
-//
-// Receivers construct their codec once via make_frame_codec: a null
-// ReceiverOptions::codec_factory yields the PaperCodec. The codec operates
-// on raw bins (not gray-mapped values) because the bin -> bit mapping is
-// format- and position-dependent: the wire format's first block runs at a
-// reduced rate with its own gray offset.
+// One codec serves both frame formats: CodecConfig::coding selects the
+// lora::CodingTable (lora/coding.hpp), and every stage below — the bin map,
+// deinterleaving, nearest-codeword decoding, BEC repair of each block, and
+// the W-budget / CRC arbitration across blocks — runs the same code for
+// both. The codec takes raw bins, not symbol values, because the bin ->
+// value map depends on the block: the wire format's first block runs at a
+// reduced rate.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/bec.hpp"
-#include "lora/header.hpp"
-#include "lora/params.hpp"
+#include "lora/coding.hpp"
 
 namespace tnb::rx {
 
@@ -45,9 +37,10 @@ struct ImplicitHeader {
 
 /// Everything a codec needs to configure itself for one receiver.
 struct CodecConfig {
-  lora::Params params;
+  lora::Params params{};
   bool use_bec = true;  ///< BEC block repair vs the default per-row decoder
-  std::optional<ImplicitHeader> implicit_header;
+  std::optional<ImplicitHeader> implicit_header{};
+  lora::Coding coding = lora::Coding::kPaper;
 };
 
 struct FrameDecodeResult {
@@ -59,77 +52,67 @@ struct FrameDecodeResult {
 
 class FrameCodec {
  public:
-  virtual ~FrameCodec() = default;
+  explicit FrameCodec(const CodecConfig& cfg);
 
   /// Leading data symbols that carry the PHY header (0 in implicit mode —
-  /// then every data symbol is payload and decode_header is never called).
-  virtual std::size_t header_symbols() const = 0;
+  /// then decode_header is never needed).
+  std::size_t header_symbols() const;
 
   /// The configured implicit header as a lora::Header (payload_len includes
   /// the CRC16), or nullopt in explicit-header mode.
-  virtual std::optional<lora::Header> implicit_header() const = 0;
+  std::optional<lora::Header> implicit_header() const;
 
-  /// Decodes the header from the first header_symbols() raw peak bins.
-  virtual std::optional<lora::Header> decode_header(
-      std::span<const std::uint32_t> bins, BecStats* stats) const = 0;
+  /// Decodes the header from the first header_symbols() raw peak bins:
+  /// with BEC, the first candidate of the header block that parses wins.
+  std::optional<lora::Header> decode_header(std::span<const std::uint32_t> bins,
+                                            BecStats* stats) const;
 
   /// Data symbols following the header for a decoded/implicit header.
-  virtual std::size_t payload_symbols(const lora::Header& h) const = 0;
+  std::size_t payload_symbols(const lora::Header& h) const;
 
   /// Decodes the payload from the raw bins of the WHOLE frame (header
   /// symbols included — the wire format's header block carries payload
   /// nibbles in its spare rows, so the payload is not a suffix slice).
-  virtual FrameDecodeResult decode_frame(std::span<const std::uint32_t> bins,
-                                         const lora::Header& h, Rng& rng,
-                                         BecStats* stats) const = 0;
+  /// Every payload block yields candidates (BEC repairs, or the default
+  /// decode alone); combinations of one candidate per block are tried
+  /// against the CRC16 under the W budget — all of them when they number
+  /// at most W, else the all-default one and W-1 drawn from `rng`.
+  /// `w_budget` replaces the CR-dependent default (bec_w_budget). Not
+  /// ok when `bins` is shorter than the frame.
+  FrameDecodeResult decode_frame(std::span<const std::uint32_t> bins,
+                                 const lora::Header& h, Rng& rng,
+                                 BecStats* stats,
+                                 std::size_t w_budget = 0) const;
 
   /// Streaming span refinement: given argmax bins of the first
   /// header_symbols() data symbols, the total frame length in data symbols
   /// if the header passes its checksum; nullopt otherwise (the caller keeps
   /// its conservative span). Uses the default decoder — refinement is
   /// advisory, never decode-bearing.
-  virtual std::optional<std::size_t> peek_frame_symbols(
-      std::span<const std::uint32_t> header_bins) const = 0;
+  std::optional<std::size_t> peek_frame_symbols(
+      std::span<const std::uint32_t> header_bins) const;
 
   /// Transmit side: application bytes -> raw chirp shifts of the full frame
-  /// (header included in explicit mode; CRC appended here).
-  virtual std::vector<std::uint32_t> encode_shifts(
-      std::span<const std::uint8_t> app_bytes) const = 0;
+  /// (lora::encode_frame at the implicit header's coding rate, if any).
+  std::vector<std::uint32_t> encode_shifts(
+      std::span<const std::uint8_t> app_bytes) const;
 
   /// Total frame length in data symbols for an application payload size.
-  virtual std::size_t frame_symbols(std::size_t app_bytes) const = 0;
-};
-
-/// Builds a codec for `cfg`: `factory` when set, the PaperCodec otherwise.
-using CodecFactory =
-    std::function<std::unique_ptr<const FrameCodec>(const CodecConfig&)>;
-std::unique_ptr<const FrameCodec> make_frame_codec(const CodecConfig& cfg,
-                                                   const CodecFactory& factory);
-
-/// The paper's frame format (lora/frame.hpp) behind the codec interface.
-/// Arithmetic is identical to the pre-seam receiver: bins map through
-/// Params::value_for_shift, then decode_header_bec / decode_payload_bec or
-/// the default decoders, with the CRC16 stripped from accepted payloads.
-class PaperCodec final : public FrameCodec {
- public:
-  explicit PaperCodec(const CodecConfig& cfg);
-
-  std::size_t header_symbols() const override;
-  std::optional<lora::Header> implicit_header() const override;
-  std::optional<lora::Header> decode_header(std::span<const std::uint32_t> bins,
-                                            BecStats* stats) const override;
-  std::size_t payload_symbols(const lora::Header& h) const override;
-  FrameDecodeResult decode_frame(std::span<const std::uint32_t> bins,
-                                 const lora::Header& h, Rng& rng,
-                                 BecStats* stats) const override;
-  std::optional<std::size_t> peek_frame_symbols(
-      std::span<const std::uint32_t> header_bins) const override;
-  std::vector<std::uint32_t> encode_shifts(
-      std::span<const std::uint8_t> app_bytes) const override;
-  std::size_t frame_symbols(std::size_t app_bytes) const override;
+  std::size_t frame_symbols(std::size_t app_bytes) const;
 
  private:
+  lora::FrameLayout layout(const lora::Header& h) const;
+  /// Header from the header block's bins, with BEC or the default decoder.
+  std::optional<lora::Header> read_header(std::span<const std::uint32_t> bins,
+                                          bool use_bec, BecStats* stats) const;
+  /// Transmit parameters: the implicit header's coding rate, if any.
+  lora::Params tx_params() const;
+  /// Codeword rows of one block of the frame's raw bins.
+  std::vector<std::uint8_t> block_rows(std::span<const std::uint32_t> bins,
+                                       const lora::CodeBlock& b) const;
+
   CodecConfig cfg_;
+  const lora::CodingTable* table_;
 };
 
 }  // namespace tnb::rx

@@ -9,8 +9,6 @@
 #include "core/sibling.hpp"
 #include "dsp/fft_backend.hpp"
 #include "core/snr.hpp"
-#include "lora/frame.hpp"
-#include "lora/gray.hpp"
 #include "obs/json.hpp"
 
 namespace tnb::rx {
@@ -67,10 +65,10 @@ std::string ReceiverStats::to_json() const {
 }
 
 Receiver::Receiver(lora::Params p, ReceiverOptions opt)
-    : p_(p), opt_(opt) {
-  p_.validate();
-  codec_ = make_frame_codec({p_, opt_.use_bec, opt_.implicit_header},
-                            opt_.codec_factory);
+    : p_(p),
+      opt_(opt),
+      // Validates p.
+      codec_({p_, opt_.use_bec, opt_.implicit_header, opt_.coding}) {
   ThriveOptions topt = opt_.thrive;
   topt.use_history = opt_.use_history;
   const lora::Params params = p_;
@@ -215,17 +213,17 @@ std::vector<sim::DecodedPacket> Receiver::decode_with_detections(
   std::vector<Tracked> pkts;
   std::vector<PacketContext> contexts;
   pkts.reserve(detections.size());
-  const std::optional<lora::Header> implicit = codec_->implicit_header();
+  const std::optional<lora::Header> implicit = codec_.implicit_header();
   for (const DetectedPacket& det : detections) {
     PacketContext ctx(p_, det);
     pkts.emplace_back(ctx);
     Tracked& t = pkts.back();
-    t.header_syms = codec_->header_symbols();
+    t.header_syms = codec_.header_symbols();
     if (implicit.has_value()) {
       t.header = *implicit;
       t.have_header = true;
       t.ctx.n_data_symbols =
-          static_cast<int>(codec_->payload_symbols(t.header));
+          static_cast<int>(codec_.payload_symbols(t.header));
     }
     contexts.push_back(t.ctx);
   }
@@ -266,8 +264,8 @@ std::vector<sim::DecodedPacket> Receiver::decode_with_detections(
       std::optional<lora::Header> hdr;
       {
         const obs::ScopedSpan span(obs_.stages.header);
-        hdr = codec_->decode_header(hs,
-                                    stats != nullptr ? &stats->bec : nullptr);
+        hdr = codec_.decode_header(hs,
+                                   stats != nullptr ? &stats->bec : nullptr);
       }
       if (!hdr.has_value()) {
         if (static_cast<int>(t.bins.size()) >= opt_.max_tracked_symbols) {
@@ -281,7 +279,7 @@ std::vector<sim::DecodedPacket> Receiver::decode_with_detections(
       t.header = *hdr;
       t.have_header = true;
       const int n_data = static_cast<int>(
-          t.header_syms + codec_->payload_symbols(t.header));
+          t.header_syms + codec_.payload_symbols(t.header));
       t.ctx.n_data_symbols = n_data;
       contexts[pi].n_data_symbols = n_data;
       if (stats != nullptr) ++stats->header_ok;
@@ -304,8 +302,8 @@ std::vector<sim::DecodedPacket> Receiver::decode_with_detections(
     FrameDecodeResult r;
     {
       const obs::ScopedSpan span(obs_.stages.bec);
-      r = codec_->decode_frame(fs, t.header, rng,
-                               stats != nullptr ? &stats->bec : nullptr);
+      r = codec_.decode_frame(fs, t.header, rng,
+                              stats != nullptr ? &stats->bec : nullptr);
     }
     if (!r.ok) {
       if (second_pass || !opt_.two_pass) t.dead = true;

@@ -37,12 +37,9 @@ struct ReceiverOptions {
   ThriveOptions thrive;
   /// Engaged when set: no header symbols are expected or decoded.
   std::optional<ImplicitHeader> implicit_header;
-  /// Frame-coding convention applied to assigned peak bins. Null selects
-  /// the paper format (PaperCodec, byte-identical to the pre-seam
-  /// receiver); wire::wire_codec_factory() selects the gr-lora-sdr wire
-  /// format. The factory receives this receiver's {params, use_bec,
-  /// implicit_header} as its CodecConfig.
-  CodecFactory codec_factory;
+  /// Frame format of the packets: the paper's (default) or the
+  /// gr-lora-sdr wire format (lora/coding.hpp).
+  lora::Coding coding = lora::Coding::kPaper;
   /// Stop tracking a packet whose header has not resolved after this many
   /// data symbols (robustness against false detections).
   int max_tracked_symbols = 96;
@@ -143,8 +140,8 @@ class Receiver {
 
   const lora::Params& params() const { return p_; }
   const ReceiverOptions& options() const { return opt_; }
-  /// The frame codec decoding this receiver's packets (never null).
-  const FrameCodec& codec() const { return *codec_; }
+  /// The frame codec decoding this receiver's packets.
+  const FrameCodec& codec() const { return codec_; }
 
  private:
   struct Instrumentation {
@@ -158,8 +155,7 @@ class Receiver {
 
   lora::Params p_;
   ReceiverOptions opt_;
-  /// Shared so Receiver stays copyable (lanes copy their template receiver).
-  std::shared_ptr<const FrameCodec> codec_;
+  FrameCodec codec_;
   AssignerFactory factory_;
   SyncFactory sync_factory_;  ///< empty = built-in Detector + FracSync
   Instrumentation obs_;       ///< null handles when metrics are disabled

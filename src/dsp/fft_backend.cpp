@@ -23,11 +23,6 @@ const FftBackend* tnb_fft_backend_avx2();
 const FftBackend* tnb_fft_backend_avx512();
 }  // namespace tnb::dsp
 #endif
-#if defined(TNB_HAVE_KISSFFT)
-namespace tnb::dsp {
-const FftBackend* tnb_fft_backend_kissfft();
-}  // namespace tnb::dsp
-#endif
 
 namespace tnb::dsp {
 namespace {
@@ -407,11 +402,6 @@ const std::vector<const FftBackend*>& registry() {
   static const std::vector<const FftBackend*> backends = [] {
     std::vector<const FftBackend*> v;
     v.push_back(&fft_backend_scalar());
-#if defined(TNB_HAVE_KISSFFT)
-    // Available but never auto-selected ahead of the SIMD backends:
-    // it exists for cross-validation, not speed.
-    v.push_back(tnb_fft_backend_kissfft());
-#endif
 #if defined(TNB_SIMD_X86)
     if (common::cpu_has_avx2()) v.push_back(tnb_fft_backend_avx2());
     if (common::cpu_has_avx512()) v.push_back(tnb_fft_backend_avx512());

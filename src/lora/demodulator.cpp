@@ -8,7 +8,7 @@
 #include "dsp/fft.hpp"
 #include "dsp/fft_backend.hpp"
 #include "lora/chirp.hpp"
-#include "lora/gray.hpp"
+#include "lora/coding.hpp"
 
 namespace tnb::lora {
 
@@ -150,7 +150,8 @@ std::size_t Demodulator::argmax(std::span<const float> sv) {
 
 std::uint32_t Demodulator::demod_value(std::span<const cfloat> window,
                                        double cfo_cycles, Workspace& ws) const {
-  return p_.value_for_shift(demod_bin(window, cfo_cycles, ws));
+  return value_for_bin(coding_table(Coding::kPaper), p_.sf,
+                       demod_bin(window, cfo_cycles, ws), p_.ldro);
 }
 
 std::uint32_t Demodulator::demod_bin(std::span<const cfloat> window,

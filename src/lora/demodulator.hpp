@@ -140,7 +140,8 @@ class Demodulator {
   /// Index of the highest element of a signal vector.
   static std::size_t argmax(std::span<const float> sv);
 
-  /// Demodulated data symbol value: Gray(argmax of the signal vector).
+  /// Demodulated paper-format symbol value of the argmax bin
+  /// (lora::value_for_bin).
   std::uint32_t demod_value(std::span<const cfloat> window,
                             double cfo_cycles) const;
 
@@ -148,8 +149,7 @@ class Demodulator {
   std::uint32_t demod_value(std::span<const cfloat> window,
                             double cfo_cycles, Workspace& ws) const;
 
-  /// Raw peak bin (argmax, no Gray mapping) — what FrameCodecs consume.
-  /// demod_value(w, c, ws) == params().value_for_shift(demod_bin(w, c, ws)).
+  /// Raw peak bin (argmax, no Gray mapping) — what rx::FrameCodec consumes.
   std::uint32_t demod_bin(std::span<const cfloat> window, double cfo_cycles,
                           Workspace& ws) const;
 

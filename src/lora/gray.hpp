@@ -21,10 +21,4 @@ constexpr std::uint32_t gray_decode(std::uint32_t g) {
   return x;
 }
 
-/// Chirp shift transmitted for a data symbol value v (SF bits).
-constexpr std::uint32_t shift_for_value(std::uint32_t v) { return gray_decode(v); }
-
-/// Data symbol value recovered from a demodulated peak bin h.
-constexpr std::uint32_t value_for_shift(std::uint32_t h) { return gray_encode(h); }
-
 }  // namespace tnb::lora

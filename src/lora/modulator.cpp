@@ -4,7 +4,6 @@
 
 #include "common/math_util.hpp"
 #include "lora/chirp.hpp"
-#include "lora/gray.hpp"
 
 namespace tnb::lora {
 
@@ -22,18 +21,9 @@ std::size_t Modulator::packet_samples(std::size_t n_data_symbols) const {
       std::ceil(packet_chirp_samples(n_data_symbols) * p_.osf));
 }
 
-cfloat Modulator::eval(double t, std::span<const std::uint32_t> data_symbols) const {
-  return eval_impl(t, data_symbols, /*raw_shifts=*/false);
-}
-
 cfloat Modulator::eval_shifts(double t, std::span<const std::uint32_t> shifts) const {
-  return eval_impl(t, shifts, /*raw_shifts=*/true);
-}
-
-cfloat Modulator::eval_impl(double t, std::span<const std::uint32_t> data_symbols,
-                            bool raw_shifts) const {
   const double n = static_cast<double>(p_.n_bins());
-  const double total = packet_chirp_samples(data_symbols.size());
+  const double total = packet_chirp_samples(shifts.size());
   if (t < 0.0 || t >= total) return {0.0f, 0.0f};
 
   const double down_start = static_cast<double>(kPreambleUpchirps + kSyncSymbols) * n;
@@ -56,26 +46,12 @@ cfloat Modulator::eval_impl(double t, std::span<const std::uint32_t> data_symbol
   const std::size_t seg = static_cast<std::size_t>(rel / n);
   const double u = rel - static_cast<double>(seg) * n;
   const std::uint32_t mask = static_cast<std::uint32_t>(p_.n_bins() - 1);
-  const std::uint32_t shift =
-      (raw_shifts ? data_symbols[seg] : p_.shift_for_value(data_symbols[seg])) &
-      mask;
-  return eval_upchirp(u, shift, p_.n_bins());
-}
-
-IqBuffer Modulator::synthesize(std::span<const std::uint32_t> data_symbols,
-                               const WaveformOptions& opt) const {
-  return synthesize_impl(data_symbols, opt, /*raw_shifts=*/false);
+  return eval_upchirp(u, shifts[seg] & mask, p_.n_bins());
 }
 
 IqBuffer Modulator::synthesize_shifts(std::span<const std::uint32_t> shifts,
                                       const WaveformOptions& opt) const {
-  return synthesize_impl(shifts, opt, /*raw_shifts=*/true);
-}
-
-IqBuffer Modulator::synthesize_impl(std::span<const std::uint32_t> data_symbols,
-                                    const WaveformOptions& opt,
-                                    bool raw_shifts) const {
-  const std::size_t len = packet_samples(data_symbols.size()) +
+  const std::size_t len = packet_samples(shifts.size()) +
                           (opt.frac_delay > 0.0 ? 1 : 0);
   IqBuffer out(len);
   const double cfo_cycles = p_.cfo_hz_to_cycles(opt.cfo_hz);
@@ -84,7 +60,7 @@ IqBuffer Modulator::synthesize_impl(std::span<const std::uint32_t> data_symbols,
 
   for (std::size_t i = 0; i < len; ++i) {
     const double t = (static_cast<double>(i) - opt.frac_delay) / p_.osf;
-    cfloat v = eval_impl(t, data_symbols, raw_shifts);
+    cfloat v = eval_shifts(t, shifts);
     if (v == cfloat{0.0f, 0.0f}) continue;
     // CFO rotates the carrier continuously over the whole packet.
     const double ph = kTwoPi * cfo_cycles * t / n;

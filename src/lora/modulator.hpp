@@ -37,32 +37,17 @@ class Modulator {
   /// Same duration in receiver samples, rounded up.
   std::size_t packet_samples(std::size_t n_data_symbols) const;
 
-  /// Synthesizes the full packet. `data_symbols` holds the data-domain
-  /// symbol values (header + payload) from make_packet_symbols; the Gray
-  /// mapping to chirp shifts happens here.
-  IqBuffer synthesize(std::span<const std::uint32_t> data_symbols,
-                      const WaveformOptions& opt = {}) const;
-
-  /// Synthesizes from raw chirp shifts (no Gray mapping) — the entry point
-  /// for alternate frame codecs (wire::WireCodec::encode_shifts) whose
-  /// value -> shift convention differs from the paper's.
+  /// Synthesizes the full packet from the raw chirp shifts of its data
+  /// symbols (lora::encode_frame output; shifts wrap modulo 2^SF).
   IqBuffer synthesize_shifts(std::span<const std::uint32_t> shifts,
                              const WaveformOptions& opt = {}) const;
 
   /// Complex value of the packet waveform at continuous chirp-sample time
   /// `t` in [0, packet_chirp_samples) — exposed for tests and for the
   /// synchronizer's reference correlations.
-  cfloat eval(double t, std::span<const std::uint32_t> data_symbols) const;
-
-  /// eval with raw chirp shifts instead of data symbol values.
   cfloat eval_shifts(double t, std::span<const std::uint32_t> shifts) const;
 
  private:
-  cfloat eval_impl(double t, std::span<const std::uint32_t> data_symbols,
-                   bool raw_shifts) const;
-  IqBuffer synthesize_impl(std::span<const std::uint32_t> data_symbols,
-                           const WaveformOptions& opt, bool raw_shifts) const;
-
   Params p_;
 };
 

@@ -5,8 +5,6 @@
 #include <cstdint>
 #include <stdexcept>
 
-#include "lora/gray.hpp"
-
 namespace tnb::lora {
 
 /// Number of upchirps at the start of every preamble.
@@ -48,11 +46,6 @@ struct Params {
   /// Data bits carried per symbol (= code-block rows): SF, or SF-2 in LDRO.
   unsigned bits_per_symbol() const { return ldro ? sf - 2 : sf; }
 
-  /// Chirp shift transmitted for a data symbol value.
-  std::uint32_t shift_for_value(std::uint32_t v) const;
-  /// Data symbol value recovered from a demodulated peak bin.
-  std::uint32_t value_for_shift(std::uint32_t h) const;
-
   /// Number of FFT bins / chirp samples per symbol: 2^SF.
   std::size_t n_bins() const { return std::size_t{1} << sf; }
 
@@ -80,17 +73,5 @@ struct Params {
   double cfo_hz_to_cycles(double cfo_hz) const { return cfo_hz * symbol_time_s(); }
   double cfo_cycles_to_hz(double cycles) const { return cycles / symbol_time_s(); }
 };
-
-inline std::uint32_t Params::shift_for_value(std::uint32_t v) const {
-  const std::uint32_t h = gray_decode(v);
-  return ldro ? (h << 2) : h;
-}
-
-inline std::uint32_t Params::value_for_shift(std::uint32_t h) const {
-  // LDRO drops the two least-significant shift bits (rounding to the
-  // nearest multiple of 4), absorbing small peak-location errors.
-  const std::uint32_t q = ldro ? ((h + 2) >> 2) & ((1u << (sf - 2)) - 1u) : h;
-  return gray_encode(q);
-}
 
 }  // namespace tnb::lora

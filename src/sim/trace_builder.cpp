@@ -6,7 +6,7 @@
 #include <stdexcept>
 
 #include "channel/awgn.hpp"
-#include "lora/frame.hpp"
+#include "lora/coding.hpp"
 #include "lora/modulator.hpp"
 
 namespace tnb::sim {
@@ -78,16 +78,8 @@ Trace build_trace(const lora::Params& params, const TraceOptions& opt, Rng& rng)
   impair::Pipeline pipeline(opt.impairments, params);
 
   const lora::Modulator mod(params);
-  // With a custom shift encoder the symbol count comes from the encoder
-  // itself (it depends only on the payload length, fixed per trace).
-  const std::size_t n_data_symbols =
-      opt.shift_encoder
-          ? opt.shift_encoder(
-                    std::vector<std::uint8_t>(opt.app_payload_bytes, 0))
-                .size()
-          : (opt.implicit_header
-                 ? lora::num_payload_symbols(params, opt.app_payload_bytes + 2)
-                 : lora::num_packet_symbols(params, opt.app_payload_bytes + 2));
+  const std::size_t n_data_symbols = lora::frame_symbols(
+      opt.coding, params, opt.app_payload_bytes, opt.implicit_header);
   const std::size_t pkt_samples = mod.packet_samples(n_data_symbols);
   if (pkt_samples >= trace_samples) {
     throw std::invalid_argument("build_trace: trace shorter than one packet");
@@ -102,16 +94,10 @@ Trace build_trace(const lora::Params& params, const TraceOptions& opt, Rng& rng)
     wopt.frac_delay = rec.start_sample - static_cast<double>(start_int);
     wopt.cfo_hz = rec.cfo_hz;
     wopt.amplitude = chan::amplitude_for_snr_db(rec.snr_db);
-    IqBuffer clean =
-        opt.shift_encoder
-            ? mod.synthesize_shifts(opt.shift_encoder(rec.app_payload), wopt)
-            : mod.synthesize(opt.implicit_header
-                                 ? lora::encode_payload_symbols(
-                                       params,
-                                       lora::assemble_payload(rec.app_payload))
-                                 : lora::make_packet_symbols(params,
-                                                             rec.app_payload),
-                             wopt);
+    IqBuffer clean = mod.synthesize_shifts(
+        lora::encode_frame(opt.coding, params, rec.app_payload,
+                           opt.implicit_header),
+        wopt);
     if (pipeline.has_per_packet()) pipeline.apply_packet(clean, rng);
     rec.n_samples = clean.size();
 
@@ -137,8 +123,8 @@ Trace build_trace(const lora::Params& params, const TraceOptions& opt, Rng& rng)
         draw_sf_assignment(tm, opt.nodes.size(), params.sf, rng);
 
     // Frame layout of the ADR mix's foreign SFs (paper coding at that SF;
-    // the trace SF keeps opt.shift_encoder). Built before the arrival
-    // draws — no randomness involved.
+    // the trace SF keeps opt.coding). Built before the arrival draws — no
+    // randomness involved.
     struct ForeignSf {
       lora::Params p;
       std::size_t n_symbols = 0;
@@ -151,10 +137,9 @@ Trace build_trace(const lora::Params& params, const TraceOptions& opt, Rng& rng)
       f.p = params;
       f.p.sf = sf;
       f.p.ldro = params.ldro && sf >= 8;
-      f.n_symbols =
-          opt.implicit_header
-              ? lora::num_payload_symbols(f.p, opt.app_payload_bytes + 2)
-              : lora::num_packet_symbols(f.p, opt.app_payload_bytes + 2);
+      f.n_symbols = lora::frame_symbols(lora::Coding::kPaper, f.p,
+                                        opt.app_payload_bytes,
+                                        opt.implicit_header);
       f.pkt_samples = lora::Modulator(f.p).packet_samples(f.n_symbols);
       foreign.emplace(sf, f);
     }
@@ -207,11 +192,9 @@ Trace build_trace(const lora::Params& params, const TraceOptions& opt, Rng& rng)
         wopt.cfo_hz = node.cfo_hz;
         wopt.amplitude = chan::amplitude_for_snr_db(node.snr_db);
         const lora::Modulator fmod(f.p);
-        IqBuffer clean = fmod.synthesize(
-            opt.implicit_header
-                ? lora::encode_payload_symbols(f.p,
-                                               lora::assemble_payload(payload))
-                : lora::make_packet_symbols(f.p, payload),
+        IqBuffer clean = fmod.synthesize_shifts(
+            lora::encode_frame(lora::Coding::kPaper, f.p, payload,
+                               opt.implicit_header),
             wopt);
         if (pipeline.has_per_packet()) pipeline.apply_packet(clean, rng);
         for (unsigned ant = 0; ant < opt.n_antennas; ++ant) {

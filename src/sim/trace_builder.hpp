@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
@@ -18,6 +17,7 @@
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "impair/impairment.hpp"
+#include "lora/coding.hpp"
 #include "lora/params.hpp"
 #include "sim/deployment.hpp"
 
@@ -67,16 +67,12 @@ struct TraceOptions {
   /// realization and independent noise (the paper's TnB2ant, Section 8.5).
   unsigned n_antennas = 1;
   /// LoRa implicit-header mode: packets carry no PHY header symbols; the
-  /// receiver must be configured with the matching ImplicitHeader.
+  /// receiver must be configured with the matching ImplicitHeader
+  /// ({app_payload_bytes + 2, cr}).
   bool implicit_header = false;
-  /// Frame encoder override: maps an app payload to the packet's raw cyclic
-  /// shifts (one per data symbol). When set it replaces the built-in paper
-  /// encoding entirely — implicit_header only selects the receiver-side
-  /// convention and every packet is synthesized from the returned shifts
-  /// (wire::WireModulator::shifts plugs in here). All packets must encode
-  /// to the same symbol count (app_payload_bytes is fixed per trace).
-  std::function<std::vector<std::uint32_t>(std::span<const std::uint8_t>)>
-      shift_encoder;
+  /// Frame format of the trace-SF packets (lora::encode_frame); packets
+  /// at the foreign SFs of a traffic model's ADR mix keep the paper format.
+  lora::Coding coding = lora::Coding::kPaper;
   /// Event-arrival traffic model replacing the flat even-split schedule
   /// (Poisson/bursty/diurnal arrivals, duty-cycle budgets, ADR SF mix).
   /// Unset keeps the legacy schedule bit-identical.

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "lora/frame.hpp"
 #include "obs/json.hpp"
 
 namespace tnb::stream {

@@ -12,7 +12,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "lora/header.hpp"
+#include "lora/coding.hpp"
 #include "lora/params.hpp"
 #include "testing/fuzz_input.hpp"
 

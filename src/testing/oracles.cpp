@@ -1,6 +1,7 @@
 #include "testing/oracles.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <complex>
@@ -14,26 +15,20 @@
 #include "baselines/lzn_sync.hpp"
 #include "common/rng.hpp"
 #include "core/bec.hpp"
+#include "core/frame_codec.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/fft_backend.hpp"
 #include "fleet/channelizer.hpp"
 #include "fleet/fleet.hpp"
-#include "lora/crc.hpp"
-#include "lora/frame.hpp"
+#include "lora/coding.hpp"
 #include "lora/gray.hpp"
-#include "lora/hamming.hpp"
-#include "lora/header.hpp"
-#include "lora/interleaver.hpp"
 #include "lora/modulator.hpp"
-#include "lora/whitening.hpp"
 #include "sim/trace_builder.hpp"
 #include "sim/trace_io.hpp"
 #include "stream/chunk_source.hpp"
 #include "stream/streaming_receiver.hpp"
 #include "testing/arbitrary.hpp"
 #include "testing/reference_fft.hpp"
-#include "wire/wire_codec.hpp"
-#include "wire/wire_format.hpp"
 
 namespace tnb::testing {
 
@@ -77,8 +72,9 @@ void oracle_primitives_roundtrip(FuzzInput& in) {
   std::vector<std::uint8_t> data =
       in.bytes(static_cast<std::size_t>(in.uniform(0, 128)));
   const std::vector<std::uint8_t> orig = data;
-  lora::whiten(data);
-  lora::whiten(data);
+  const lora::CodingTable& paper = lora::coding_table(lora::Coding::kPaper);
+  paper.whiten(data);
+  paper.whiten(data);
   TNB_ORACLE(data == orig, "whitening not an involution");
 
   // Interleaver is a bijection, and one corrupted symbol lands in exactly
@@ -88,46 +84,53 @@ void oracle_primitives_roundtrip(FuzzInput& in) {
   const std::uint8_t mask = static_cast<std::uint8_t>((1u << (4 + cr)) - 1u);
   std::vector<std::uint8_t> rows(sf);
   for (auto& r : rows) r = static_cast<std::uint8_t>(in.u8() & mask);
-  auto symbols = lora::interleave_block(rows, sf, cr);
-  TNB_ORACLE(lora::deinterleave_block(symbols, sf, cr) == rows,
+  auto symbols = lora::interleave_block(rows, cr, false);
+  TNB_ORACLE(lora::deinterleave_block(symbols, sf, cr, false) == rows,
              "interleaver round trip");
   const unsigned victim = static_cast<unsigned>(in.uniform(0, 4 + cr - 1));
   const std::uint32_t sym_mask = (1u << sf) - 1u;
   symbols[victim] ^= static_cast<std::uint32_t>(in.uniform(1, sym_mask));
-  const auto back = lora::deinterleave_block(symbols, sf, cr);
+  const auto back = lora::deinterleave_block(symbols, sf, cr, false);
   for (unsigned r = 0; r < sf; ++r) {
     TNB_ORACLE((static_cast<std::uint8_t>(back[r] ^ rows[r]) &
                 static_cast<std::uint8_t>(~(1u << victim))) == 0,
                "symbol corruption escaped its column");
   }
 
-  // Hamming: every nibble encodes to its codebook entry and decodes back
-  // at distance 0; at CR >= 3 a single-bit error still decodes back.
+  // Hamming: every codeword carries its nibble and decodes back at
+  // distance 0; at CR >= 3 a single-bit error still decodes back.
   const std::uint8_t nib = static_cast<std::uint8_t>(in.u8() & 0x0F);
   for (unsigned c = 1; c <= 4; ++c) {
-    const std::uint8_t cw = lora::encode_cr(nib, c);
-    TNB_ORACLE(cw == lora::codewords(c)[nib], "encode_cr vs codebook");
-    const auto d0 = lora::default_decode(cw, c);
+    const std::uint8_t cw = lora::codebook(c)[nib];
+    TNB_ORACLE(lora::codeword_data(paper, cw, c) == nib, "codeword data");
+    const auto d0 = lora::nearest_codeword(cw, lora::codebook(c));
     TNB_ORACLE(d0.data == nib && d0.distance == 0, "clean codeword decode");
     if (c >= 3) {
       const unsigned bit = static_cast<unsigned>(in.uniform(0, 4 + c - 1));
-      const auto d1 = lora::default_decode(
-          static_cast<std::uint8_t>(cw ^ (1u << bit)), c);
+      const auto d1 = lora::nearest_codeword(
+          static_cast<std::uint8_t>(cw ^ (1u << bit)), lora::codebook(c));
       TNB_ORACLE(d1.data == nib, "1-bit error not corrected at CR>=3");
     }
   }
 
-  // CRC16: assembled payloads verify; any single-bit flip is caught.
+  // CRC16: payloads with their CRC appended verify; any single-bit flip
+  // is caught.
   std::vector<std::uint8_t> app =
       in.bytes(static_cast<std::size_t>(in.uniform(1, 64)));
   if (app.empty()) app.push_back(0);
-  auto payload = lora::assemble_payload(app);
-  TNB_ORACLE(lora::check_payload_crc(payload), "fresh payload fails CRC");
+  std::vector<std::uint8_t> payload = app;
+  const auto crc = paper.crc_bytes(app);
+  payload.insert(payload.end(), crc.begin(), crc.end());
+  const auto crc_ok = [&paper](std::span<const std::uint8_t> bytes) {
+    const std::size_t n = bytes.size() - 2;
+    return paper.crc_bytes(bytes.first(n)) ==
+           std::array<std::uint8_t, 2>{bytes[n], bytes[n + 1]};
+  };
+  TNB_ORACLE(crc_ok(payload), "fresh payload fails CRC");
   const std::size_t fb = static_cast<std::size_t>(
       in.uniform(0, payload.size() * 8 - 1));
   payload[fb / 8] ^= static_cast<std::uint8_t>(1u << (fb % 8));
-  TNB_ORACLE(!lora::check_payload_crc(payload),
-             "single-bit flip passed CRC16");
+  TNB_ORACLE(!crc_ok(payload), "single-bit flip passed CRC16");
 }
 
 // --------------------------------------------------------------- full chain
@@ -135,37 +138,35 @@ void oracle_primitives_roundtrip(FuzzInput& in) {
 void oracle_coding_chain_roundtrip(FuzzInput& in) {
   const lora::Params p = arbitrary_params(in);
   const std::vector<std::uint8_t> app = arbitrary_payload(in, 48);
-  const auto payload = lora::assemble_payload(app);
-  const auto symbols = lora::make_packet_symbols(p, app);
-  TNB_ORACLE(symbols.size() == lora::num_packet_symbols(p, payload.size()),
+  const auto shifts = lora::encode_frame(lora::Coding::kPaper, p, app);
+  TNB_ORACLE(shifts.size() == lora::frame_symbols(lora::Coding::kPaper, p,
+                                                  app.size()),
              "packet symbol count");
-  const std::uint32_t lim = 1u << p.bits_per_symbol();
-  for (std::uint32_t s : symbols) {
-    TNB_ORACLE(s < lim, "symbol value out of SF range");
+  for (std::uint32_t s : shifts) {
+    TNB_ORACLE(s < p.n_bins(), "shift out of bin range");
   }
 
-  const std::span<const std::uint32_t> all(symbols);
-  const auto hdr = lora::decode_header_default(p, all.first(lora::kHeaderSymbols));
+  const std::span<const std::uint32_t> all(shifts);
+  const rx::FrameCodec plain({p, /*use_bec=*/false, {}, lora::Coding::kPaper});
+  const rx::FrameCodec bec({p, /*use_bec=*/true, {}, lora::Coding::kPaper});
+  const auto hdr = plain.decode_header(all.first(lora::kHeaderSymbols), nullptr);
   TNB_ORACLE(hdr.has_value(), "clean header failed default decode");
-  TNB_ORACLE(hdr->payload_len == payload.size() && hdr->cr == p.cr,
+  TNB_ORACLE(hdr->payload_len == app.size() + 2 && hdr->cr == p.cr,
              "clean header fields");
 
-  const auto pay = lora::decode_payload_default(
-      p, all.subspan(lora::kHeaderSymbols), payload.size());
-  TNB_ORACLE(pay.has_value(), "clean payload failed default decode");
-  TNB_ORACLE(*pay == payload, "clean payload default decode mismatch");
+  Rng rng(in.u64());
+  const auto pay = plain.decode_frame(all, *hdr, rng, nullptr);
+  TNB_ORACLE(pay.ok, "clean payload failed default decode");
+  TNB_ORACLE(pay.payload == app, "clean payload default decode mismatch");
 
   // BEC on a clean packet: the default-decoder block is candidate #1 and
   // already carries a valid CRC, so the result is deterministic.
-  Rng rng(in.u64());
-  const rx::BecPacketResult r = rx::decode_payload_bec(
-      p, all.subspan(lora::kHeaderSymbols), payload.size(), rng);
+  const auto r = bec.decode_frame(all, *hdr, rng, nullptr);
   TNB_ORACLE(r.ok, "clean payload failed BEC decode");
-  TNB_ORACLE(r.payload == payload, "clean payload BEC mismatch");
+  TNB_ORACLE(r.payload == app, "clean payload BEC mismatch");
   TNB_ORACLE(r.rescued_codewords == 0, "clean packet claims rescues");
 
-  const auto hdr_bec =
-      rx::decode_header_bec(p, all.first(lora::kHeaderSymbols));
+  const auto hdr_bec = bec.decode_header(all.first(lora::kHeaderSymbols), nullptr);
   TNB_ORACLE(hdr_bec.has_value() && *hdr_bec == *hdr,
              "clean header BEC mismatch");
 }
@@ -173,39 +174,36 @@ void oracle_coding_chain_roundtrip(FuzzInput& in) {
 void oracle_coding_chain_corrupted(FuzzInput& in) {
   const lora::Params p = arbitrary_params(in);
   const std::vector<std::uint8_t> app = arbitrary_payload(in, 48);
-  const auto payload = lora::assemble_payload(app);
-  std::vector<std::uint32_t> symbols = lora::make_packet_symbols(p, app);
-  corrupt_symbols(symbols, p.bits_per_symbol(), in, symbols.size());
+  std::vector<std::uint32_t> shifts =
+      lora::encode_frame(lora::Coding::kPaper, p, app);
+  corrupt_symbols(shifts, p.sf, in, shifts.size());
 
-  const std::span<const std::uint32_t> all(symbols);
+  const std::span<const std::uint32_t> all(shifts);
+  const rx::FrameCodec plain({p, /*use_bec=*/false, {}, lora::Coding::kPaper});
+  const rx::FrameCodec bec({p, /*use_bec=*/true, {}, lora::Coding::kPaper});
   // Totality: arbitrary corruption must only ever yield nullopt/!ok or a
   // value that passed the integrity gate.
-  const auto hdr = lora::decode_header_default(p, all.first(lora::kHeaderSymbols));
+  const auto hdr = plain.decode_header(all.first(lora::kHeaderSymbols), nullptr);
   if (hdr.has_value()) {
     TNB_ORACLE(hdr->cr >= 1 && hdr->cr <= 4, "accepted header has bad CR");
   }
-  const auto hdr_bec = rx::decode_header_bec(p, all.first(lora::kHeaderSymbols));
+  const auto hdr_bec = bec.decode_header(all.first(lora::kHeaderSymbols), nullptr);
   if (hdr_bec.has_value()) {
     TNB_ORACLE(hdr_bec->cr >= 1 && hdr_bec->cr <= 4,
                "accepted BEC header has bad CR");
   }
 
-  const auto pay = lora::decode_payload_default(
-      p, all.subspan(lora::kHeaderSymbols), payload.size());
-  if (pay.has_value()) {
-    TNB_ORACLE(lora::check_payload_crc(*pay),
-               "default decode accepted a payload failing its CRC");
-    TNB_ORACLE(pay->size() == payload.size(), "accepted payload length");
-  }
-
+  const lora::Header truth{static_cast<std::uint8_t>(app.size() + 2),
+                           static_cast<std::uint8_t>(p.cr), true};
   Rng rng(in.u64());
+  const auto pay = plain.decode_frame(all, truth, rng, nullptr);
+  if (pay.ok) {
+    TNB_ORACLE(pay.payload.size() == app.size(), "accepted payload length");
+  }
   rx::BecStats stats;
-  const rx::BecPacketResult r = rx::decode_payload_bec(
-      p, all.subspan(lora::kHeaderSymbols), payload.size(), rng, &stats);
+  const auto r = bec.decode_frame(all, truth, rng, &stats);
   if (r.ok) {
-    TNB_ORACLE(lora::check_payload_crc(r.payload),
-               "BEC accepted a payload failing its CRC");
-    TNB_ORACLE(r.payload.size() == payload.size(), "BEC payload length");
+    TNB_ORACLE(r.payload.size() == app.size(), "BEC payload length");
   }
   TNB_ORACLE(stats.crc_checks <= rx::bec_w_budget(p.cr),
              "BEC exceeded its W budget");
@@ -213,32 +211,59 @@ void oracle_coding_chain_corrupted(FuzzInput& in) {
 
 // -------------------------------------------------------------------- header
 
+namespace {
+
+/// Data nibbles of a paper-format header block of `rows` rows: the header,
+/// then zero padding.
+std::vector<std::uint8_t> paper_header_rows(const lora::Header& h,
+                                            std::size_t rows) {
+  const auto n = lora::coding_table(lora::Coding::kPaper).header_nibbles(h);
+  std::vector<std::uint8_t> out(std::max<std::size_t>(rows, n.size()), 0);
+  std::copy(n.begin(), n.end(), out.begin());
+  return out;
+}
+
+}  // namespace
+
 void oracle_header_roundtrip(FuzzInput& in) {
   const lora::Params p = arbitrary_params(in);
   const lora::Header h = arbitrary_header(in);
   const unsigned sf_bits = p.bits_per_symbol();
+  const lora::CodingTable& paper = lora::coding_table(lora::Coding::kPaper);
 
-  const auto nibbles = lora::header_to_nibbles(h, sf_bits);
-  TNB_ORACLE(nibbles.size() == sf_bits, "header nibble count");
-  const auto parsed = lora::header_from_nibbles(nibbles);
+  const auto nibbles = paper_header_rows(h, sf_bits);
+  const auto parsed = paper.parse_header(nibbles);
   TNB_ORACLE(parsed.has_value() && *parsed == h, "header nibble round trip");
 
-  auto symbols = lora::encode_header_symbols(p, h);
-  TNB_ORACLE(symbols.size() == lora::kHeaderSymbols, "header symbol count");
-  const auto dec = lora::decode_header_default(p, symbols);
+  // The header block: CR 4 codewords, interleaved, one symbol value per
+  // column (then mapped to shifts).
+  std::vector<std::uint8_t> rows(sf_bits);
+  for (unsigned r = 0; r < sf_bits; ++r) rows[r] = lora::codebook(4)[nibbles[r]];
+  auto values = lora::interleave_block(rows, 4, false);
+  TNB_ORACLE(values.size() == lora::kHeaderSymbols, "header symbol count");
+  const auto to_shifts = [&](const std::vector<std::uint32_t>& v) {
+    std::vector<std::uint32_t> shifts;
+    for (std::uint32_t x : v) {
+      shifts.push_back(lora::shift_for_value(paper, p.sf, x, p.ldro));
+    }
+    return shifts;
+  };
+  const rx::FrameCodec plain({p, /*use_bec=*/false, {}, lora::Coding::kPaper});
+  const rx::FrameCodec bec({p, /*use_bec=*/true, {}, lora::Coding::kPaper});
+  const auto dec = plain.decode_header(to_shifts(values), nullptr);
   TNB_ORACLE(dec.has_value() && *dec == h, "header symbol round trip");
 
   // One corrupted symbol = one corrupted column of the CR-4 header block:
   // every row is within distance 1, the default decoder cleans all of
   // them, and both decoders must return exactly h.
   const std::size_t victim =
-      static_cast<std::size_t>(in.uniform(0, symbols.size() - 1));
+      static_cast<std::size_t>(in.uniform(0, values.size() - 1));
   const std::uint32_t sym_mask = (1u << sf_bits) - 1u;
-  symbols[victim] ^= static_cast<std::uint32_t>(in.uniform(1, sym_mask));
-  const auto dec1 = lora::decode_header_default(p, symbols);
+  values[victim] ^= static_cast<std::uint32_t>(in.uniform(1, sym_mask));
+  const auto dec1 = plain.decode_header(to_shifts(values), nullptr);
   TNB_ORACLE(dec1.has_value() && *dec1 == h,
              "1-symbol corruption broke default header decode");
-  const auto bec1 = rx::decode_header_bec(p, symbols);
+  const auto bec1 = bec.decode_header(to_shifts(values), nullptr);
   TNB_ORACLE(bec1.has_value() && *bec1 == h,
              "1-symbol corruption broke BEC header decode");
 }
@@ -246,7 +271,8 @@ void oracle_header_roundtrip(FuzzInput& in) {
 void oracle_header_parse_total(FuzzInput& in) {
   const std::vector<std::uint8_t> raw =
       in.bytes(static_cast<std::size_t>(in.uniform(0, 64)));
-  const auto parsed = lora::header_from_nibbles(raw);
+  const lora::CodingTable& paper = lora::coding_table(lora::Coding::kPaper);
+  const auto parsed = paper.parse_header(raw);
   if (raw.size() < 5) {
     TNB_ORACLE(!parsed.has_value(), "accepted a <5-nibble header");
     return;
@@ -254,9 +280,8 @@ void oracle_header_parse_total(FuzzInput& in) {
   if (!parsed.has_value()) return;
   // Accepted headers are serialize/parse fixpoints.
   TNB_ORACLE(parsed->cr >= 1 && parsed->cr <= 4, "accepted header bad CR");
-  const unsigned sf = static_cast<unsigned>(std::max<std::size_t>(raw.size(), 6));
-  const auto nibbles = lora::header_to_nibbles(*parsed, sf);
-  const auto again = lora::header_from_nibbles(nibbles);
+  const auto again =
+      paper.parse_header(paper_header_rows(*parsed, std::max<std::size_t>(raw.size(), 6)));
   TNB_ORACLE(again.has_value() && *again == *parsed,
              "accepted header is not a serialize/parse fixpoint");
 }
@@ -269,7 +294,7 @@ std::vector<std::uint8_t> arbitrary_codeword_block(FuzzInput& in, unsigned sf,
                                                    unsigned cr) {
   std::vector<std::uint8_t> rows(sf);
   for (auto& r : rows) {
-    r = lora::codewords(cr)[in.uniform(0, 15)];
+    r = lora::codebook(cr)[in.uniform(0, 15)];
   }
   return rows;
 }
@@ -316,14 +341,14 @@ void oracle_bec_arbitrary_block(FuzzInput& in) {
     // decode), so a caller taking the first candidate gets exactly the
     // default decoder's answer.
     for (unsigned r = 0; r < sf; ++r) {
-      TNB_ORACLE(cands[0][r] == lora::default_decode(rows[r], cr).codeword,
+      TNB_ORACLE(cands[0][r] == lora::nearest_codeword(rows[r], lora::codebook(cr)).codeword,
                  "first candidate is not the default-decoder block");
     }
   }
   for (std::size_t i = 0; i < cands.size(); ++i) {
     TNB_ORACLE(cands[i].size() == sf, "candidate row count");
     for (std::uint8_t row : cands[i]) {
-      const auto& cb = lora::codewords(cr);
+      const auto& cb = lora::codebook(cr);
       TNB_ORACLE(std::find(cb.begin(), cb.end(), row) != cb.end(),
                  "candidate contains a non-codeword row");
     }
@@ -355,8 +380,12 @@ void oracle_bec_correctable(FuzzInput& in) {
 void oracle_bec_packet(FuzzInput& in) {
   const lora::Params p = arbitrary_params(in);
   const std::vector<std::uint8_t> app = arbitrary_payload(in, 32);
-  const auto payload = lora::assemble_payload(app);
-  std::vector<std::uint32_t> symbols = lora::encode_payload_symbols(p, payload);
+  const rx::FrameCodec codec(
+      {p, /*use_bec=*/true,
+       rx::ImplicitHeader{static_cast<std::uint8_t>(app.size() + 2),
+                          static_cast<std::uint8_t>(p.cr)},
+       lora::Coding::kPaper});
+  std::vector<std::uint32_t> symbols = codec.encode_shifts(app);
 
   // One corrupted symbol in each of at most two blocks: inside both BEC's
   // per-block capability and the packet-assembly W budget, so the decode
@@ -374,20 +403,22 @@ void oracle_bec_packet(FuzzInput& in) {
         1 + static_cast<std::size_t>(in.uniform(0, n_blocks - 2));
     hit.push_back((hit[0] + step) % n_blocks);
   }
+  const lora::CodingTable& paper = lora::coding_table(lora::Coding::kPaper);
   for (std::size_t blk : hit) {
-    const std::size_t victim =
-        blk * cols + static_cast<std::size_t>(in.uniform(0, cols - 1));
-    symbols[victim] ^= static_cast<std::uint32_t>(in.uniform(1, sym_mask));
+    // The corruption XORs the symbol value, as seen after the bin map.
+    std::uint32_t& shift =
+        symbols[blk * cols + static_cast<std::size_t>(in.uniform(0, cols - 1))];
+    const std::uint32_t v = lora::value_for_bin(paper, p.sf, shift, p.ldro) ^
+                            static_cast<std::uint32_t>(in.uniform(1, sym_mask));
+    shift = lora::shift_for_value(paper, p.sf, v, p.ldro);
   }
 
   Rng rng(in.u64());
   rx::BecStats stats;
-  const rx::BecPacketResult r =
-      rx::decode_payload_bec(p, symbols, payload.size(), rng, &stats);
+  const auto r =
+      codec.decode_frame(symbols, *codec.implicit_header(), rng, &stats);
   TNB_ORACLE(r.ok, "within-capability corruption failed packet BEC");
-  TNB_ORACLE(lora::check_payload_crc(r.payload),
-             "accepted payload fails its own CRC");
-  TNB_ORACLE(r.payload.size() == payload.size(), "accepted payload length");
+  TNB_ORACLE(r.payload.size() == app.size(), "accepted payload length");
   TNB_ORACLE(stats.crc_checks <= rx::bec_w_budget(p.cr), "W budget exceeded");
 }
 
@@ -489,12 +520,12 @@ void oracle_streaming_chunk_invariance(FuzzInput& in) {
   IqBuffer iq;
   if (in.boolean()) {
     std::vector<std::uint8_t> app = arbitrary_payload(in, 12);
-    const auto symbols = lora::make_packet_symbols(p, app);
+    const auto shifts = lora::encode_frame(lora::Coding::kPaper, p, app);
     lora::Modulator mod(p);
     lora::WaveformOptions wopt;
     wopt.cfo_hz = in.real(-200.0, 200.0);
     wopt.frac_delay = in.unit() * 0.99;
-    const IqBuffer pkt = mod.synthesize(symbols, wopt);
+    const IqBuffer pkt = mod.synthesize_shifts(shifts, wopt);
     const std::size_t lead =
         static_cast<std::size_t>(in.uniform(0, 4)) * p.sps() + p.sps();
     iq.assign(lead, cfloat{0.0f, 0.0f});
@@ -681,7 +712,7 @@ void oracle_fft_backend(FuzzInput& in) {
 
   // Repeating the same transform on the same bytes is bit-identical:
   // backends keep no hidden state (scratch reuse must not leak between
-  // calls — the kissfft backend's thread-local buffer, for one).
+  // calls).
   IqBuffer a = input, b = input;
   be.transform(plan, a.data(), false);
   be.transform(plan, b.data(), false);
@@ -807,7 +838,7 @@ void oracle_impairment_totality(FuzzInput& in) {
   // At least ~1.5 packet airtimes, so the build_trace "trace shorter than
   // one packet" precondition holds for every drawn (SF, osf, LDRO).
   const std::size_t pkt_samples = lora::Modulator(p).packet_samples(
-      lora::num_packet_symbols(p, opt.app_payload_bytes + 2));
+      lora::frame_symbols(lora::Coding::kPaper, p, opt.app_payload_bytes));
   const double min_duration =
       1.5 * static_cast<double>(pkt_samples) / p.sample_rate_hz();
   opt.duration_s = std::max(in.real(0.05, 0.25), min_duration);
@@ -969,25 +1000,29 @@ void oracle_lzn_sync_totality(FuzzInput& in) {
 }
 
 void oracle_wire_primitives_roundtrip(FuzzInput& in) {
+  const lora::CodingTable& wire = lora::coding_table(lora::Coding::kWire);
   // Whitening is an involution on arbitrary bytes.
   std::vector<std::uint8_t> data =
       in.bytes(static_cast<std::size_t>(in.uniform(0, 96)));
   const std::vector<std::uint8_t> orig = data;
-  wire::whiten(data);
-  wire::whiten(data);
+  wire.whiten(data);
+  wire.whiten(data);
   TNB_ORACLE(data == orig, "wire whitening not an involution");
 
-  // Hamming encode -> data extraction / nearest decode == identity, and
+  // Codeword -> data extraction / nearest decode == identity, and
   // single-bit errors are corrected where d_min >= 3 (CR 3-4).
   const unsigned cr = static_cast<unsigned>(in.uniform(1, 4));
   const std::uint8_t nib = static_cast<std::uint8_t>(in.u8() & 0x0F);
-  const std::uint8_t cw = wire::wire_encode(nib, cr);
-  TNB_ORACLE(wire::wire_data(cw, cr) == nib, "wire_data of a codeword");
-  TNB_ORACLE(wire::wire_decode(cw, cr).data == nib, "wire_decode clean");
+  const lora::Codebook& book = lora::codebook(cr, lora::Coding::kWire);
+  const std::uint8_t cw = book[nib];
+  TNB_ORACLE(lora::codeword_data(wire, cw, cr) == nib,
+             "data nibble of a wire codeword");
+  TNB_ORACLE(lora::nearest_codeword(cw, book).data == nib,
+             "wire nearest-codeword decode clean");
   if (cr >= 3) {
     const unsigned bit = static_cast<unsigned>(in.uniform(0, 4 + cr - 1));
     const auto fixed =
-        wire::wire_decode(static_cast<std::uint8_t>(cw ^ (1u << bit)), cr);
+        lora::nearest_codeword(static_cast<std::uint8_t>(cw ^ (1u << bit)), book);
     TNB_ORACLE(fixed.data == nib, "single-bit error not corrected");
   }
 
@@ -998,8 +1033,9 @@ void oracle_wire_primitives_roundtrip(FuzzInput& in) {
   for (auto& r : rows) {
     r = static_cast<std::uint8_t>(in.u8() & ((1u << cwl) - 1u));
   }
-  const auto symbols = wire::wire_interleave(rows, sf_app, cwl);
-  TNB_ORACLE(wire::wire_deinterleave(symbols, sf_app, cwl) == rows,
+  const auto symbols = lora::interleave_block(rows, cr, wire.msb_first);
+  TNB_ORACLE(lora::deinterleave_block(symbols, sf_app, cr, wire.msb_first) ==
+                 rows,
              "wire interleaver round trip");
 
   // Gray +1 shift mapping: symbol -> shift -> symbol == identity; the
@@ -1007,33 +1043,37 @@ void oracle_wire_primitives_roundtrip(FuzzInput& in) {
   const unsigned sf = static_cast<unsigned>(in.uniform(5, 12));
   const std::uint32_t n = 1u << sf;
   const std::uint32_t v = static_cast<std::uint32_t>(in.u64(4)) & (n - 1u);
-  TNB_ORACLE(wire::wire_symbol_for_bin(wire::wire_shift_for_symbol(v, sf, false),
-                                       sf, false) == v,
+  TNB_ORACLE(lora::value_for_bin(wire, sf,
+                                 lora::shift_for_value(wire, sf, v, false),
+                                 false) == v,
              "wire gray round trip");
   if (sf >= 7) {
     const std::uint32_t vr = v & ((n >> 2) - 1u);
-    const std::uint32_t shift = wire::wire_shift_for_symbol(vr, sf, true);
+    const std::uint32_t shift = lora::shift_for_value(wire, sf, vr, true);
     const std::uint32_t off = static_cast<std::uint32_t>(in.uniform(0, 2));
-    TNB_ORACLE(wire::wire_symbol_for_bin((shift + off) & (n - 1u), sf, true) ==
+    TNB_ORACLE(lora::value_for_bin(wire, sf, (shift + off) & (n - 1u), true) ==
                    vr,
                "reduced-rate gray round trip");
   }
 
-  // Header serialize/parse fixpoint for in-contract fields.
-  wire::WireHeader h;
-  h.payload_len = static_cast<std::uint8_t>(in.uniform(1, 255));
+  // Header serialize/parse fixpoint for in-contract fields (a length whose
+  // CRC16 would overflow the one-byte on-air length is out of contract).
+  const unsigned len = static_cast<unsigned>(in.uniform(1, 255));
+  lora::Header h;
   h.cr = static_cast<std::uint8_t>(in.uniform(1, 4));
   h.has_crc = in.boolean();
-  const auto parsed = wire::parse_wire_header(wire::wire_header_nibbles(h));
-  TNB_ORACLE(parsed.has_value() && parsed->payload_len == h.payload_len &&
-                 parsed->cr == h.cr && parsed->has_crc == h.has_crc,
+  if (len + (h.has_crc ? 2u : 0u) > 255) return;
+  h.payload_len = static_cast<std::uint8_t>(len + (h.has_crc ? 2u : 0u));
+  const auto parsed = wire.parse_header(wire.header_nibbles(h));
+  TNB_ORACLE(parsed.has_value() && *parsed == h,
              "wire header not a serialize/parse fixpoint");
 }
 
 namespace {
 
-/// Fuzz-chosen wire codec configuration (valid by construction).
-rx::CodecConfig arbitrary_wire_config(FuzzInput& in, std::size_t app_len) {
+/// Fuzz-chosen codec configuration (valid by construction); the frame
+/// format is drawn last, so an exhausted input selects the wire format.
+rx::CodecConfig arbitrary_codec_config(FuzzInput& in, std::size_t app_len) {
   rx::CodecConfig cfg;
   cfg.params.sf = static_cast<unsigned>(in.uniform(5, 12));
   cfg.params.cr = static_cast<unsigned>(in.uniform(1, 4));
@@ -1045,15 +1085,16 @@ rx::CodecConfig arbitrary_wire_config(FuzzInput& in, std::size_t app_len) {
         rx::ImplicitHeader{static_cast<std::uint8_t>(app_len + 2),
                            static_cast<std::uint8_t>(cfg.params.cr)};
   }
+  cfg.coding = in.boolean() ? lora::Coding::kPaper : lora::Coding::kWire;
   return cfg;
 }
 
 }  // namespace
 
-void oracle_wire_codec_roundtrip(FuzzInput& in) {
+void oracle_codec_roundtrip(FuzzInput& in) {
   const std::size_t app_len = static_cast<std::size_t>(in.uniform(1, 48));
-  const rx::CodecConfig cfg = arbitrary_wire_config(in, app_len);
-  const wire::WireCodec codec(cfg);
+  const rx::CodecConfig cfg = arbitrary_codec_config(in, app_len);
+  const rx::FrameCodec codec(cfg);
   std::vector<std::uint8_t> app = in.bytes(app_len);
   app.resize(app_len, 0);
 
@@ -1073,8 +1114,8 @@ void oracle_wire_codec_roundtrip(FuzzInput& in) {
   } else {
     const auto hdr = codec.decode_header(
         std::span<const std::uint32_t>(shifts).first(8), nullptr);
-    TNB_ORACLE(hdr.has_value(), "clean wire header failed to decode");
-    TNB_ORACLE(hdr->payload_len == app.size() + 2, "wire header length");
+    TNB_ORACLE(hdr.has_value(), "clean header failed to decode");
+    TNB_ORACLE(hdr->payload_len == app.size() + 2, "header length");
     h = *hdr;
   }
   TNB_ORACLE(codec.header_symbols() + codec.payload_symbols(h) == shifts.size(),
@@ -1082,14 +1123,14 @@ void oracle_wire_codec_roundtrip(FuzzInput& in) {
 
   Rng rng(in.u64(4));
   const auto r = codec.decode_frame(shifts, h, rng, nullptr);
-  TNB_ORACLE(r.ok, "clean wire frame failed to decode");
-  TNB_ORACLE(r.payload == app, "wire codec round trip");
+  TNB_ORACLE(r.ok, "clean frame failed to decode");
+  TNB_ORACLE(r.payload == app, "codec round trip");
 }
 
-void oracle_wire_codec_totality(FuzzInput& in) {
+void oracle_codec_totality(FuzzInput& in) {
   const std::size_t app_len = static_cast<std::size_t>(in.uniform(1, 32));
-  const rx::CodecConfig cfg = arbitrary_wire_config(in, app_len);
-  const wire::WireCodec codec(cfg);
+  const rx::CodecConfig cfg = arbitrary_codec_config(in, app_len);
+  const rx::FrameCodec codec(cfg);
   const std::uint32_t n_bins = 1u << cfg.params.sf;
 
   lora::Header h;
@@ -1105,21 +1146,24 @@ void oracle_wire_codec_totality(FuzzInput& in) {
   for (auto& b : bins) {
     b = static_cast<std::uint32_t>(in.u64(4)) & (n_bins - 1u);
   }
+  Rng rng(in.u64(4));
+  // A span cut short anywhere (a packet running off the trace end) must
+  // decode to nothing rather than read past it.
+  const bool cut = in.boolean();
+  if (cut) bins.resize(static_cast<std::size_t>(in.uniform(0, n_syms - 1)));
+
   // Arbitrary bins: decode_header may reject, decode_frame may fail, but
   // neither may crash, and an accepted frame has a consistent payload.
   if (!cfg.implicit_header.has_value()) {
-    (void)codec.decode_header(std::span<const std::uint32_t>(bins).first(8),
-                              nullptr);
-    (void)codec.peek_frame_symbols(
-        std::span<const std::uint32_t>(bins).first(8));
+    const std::span<const std::uint32_t> head(
+        bins.data(), std::min<std::size_t>(bins.size(), 8));
+    (void)codec.decode_header(head, nullptr);
+    (void)codec.peek_frame_symbols(head);
   }
-  Rng rng(in.u64(4));
   const auto r = codec.decode_frame(bins, h, rng, nullptr);
+  TNB_ORACLE(!cut || !r.ok, "a frame cut short decoded");
   if (r.ok) {
-    const std::size_t wire_len =
-        h.has_crc ? (h.payload_len >= 2 ? h.payload_len - 2u : 0u)
-                  : h.payload_len;
-    TNB_ORACLE(r.payload.size() == wire_len, "accepted frame length");
+    TNB_ORACLE(r.payload.size() == h.payload_len - 2u, "accepted frame length");
   }
 }
 

@@ -105,20 +105,23 @@ void oracle_channelizer_roundtrip(FuzzInput& in);
 /// at different chunk boundaries — entry for entry, after finalize.
 void oracle_fleet_differential(FuzzInput& in);
 
-// ---- wire::WireCodec (the gr-lora-sdr wire format) ----
-/// Wire primitive invariants on arbitrary data: whitening involution,
-/// Hamming encode/decode identity plus single-error correction at CR >= 3,
-/// diagonal interleaver bijection, Gray shift mapping identity (with the
-/// reduced-rate +1/+2 absorption), header serialize/parse fixpoint.
+// ---- rx::FrameCodec (both frame formats) ----
+/// Wire-format table invariants on arbitrary data: whitening involution,
+/// codeword data / nearest decode identity plus single-error correction at
+/// CR >= 3, MSB-first diagonal interleaver bijection, Gray +1 shift mapping
+/// identity (with the reduced-rate +1/+2 absorption), header
+/// serialize/parse fixpoint.
 void oracle_wire_primitives_roundtrip(FuzzInput& in);
-/// Full wire frame: encode_shifts -> decode_header/decode_frame == identity
-/// for an arbitrary valid (SF, CR, LDRO, explicit/implicit) and payload.
-void oracle_wire_codec_roundtrip(FuzzInput& in);
-/// WireCodec decode on arbitrary bins: total — never crashes — and an
-/// accepted frame reports exactly the header's CRC-exclusive payload
-/// length. (CRC acceptance on random bins is probabilistic, so the oracle
-/// does not assert rejection; the pinned-seed variant lives in test_wire.)
-void oracle_wire_codec_totality(FuzzInput& in);
+/// Full frame: encode_shifts -> decode_header/decode_frame == identity for
+/// an arbitrary frame format, valid (SF, CR, LDRO, explicit/implicit) and
+/// payload.
+void oracle_codec_roundtrip(FuzzInput& in);
+/// Codec decode on arbitrary bins of either format, the span possibly cut
+/// short of the frame: total — never crashes — a cut span never decodes,
+/// and an accepted frame reports exactly the application payload length.
+/// (CRC acceptance on random bins is probabilistic, so the oracle does not
+/// assert rejection; the pinned-seed variant lives in test_wire.)
+void oracle_codec_totality(FuzzInput& in);
 
 // ---- dsp::FftBackend ----
 /// Every registered backend on an arbitrary pow2 size (2 .. 2^15) and

@@ -1,5 +1,5 @@
 // Fuzz harness: dsp::FftBackend. Arbitrary pow2 sizes up to 2^15 on every
-// registered backend (scalar always; avx2/avx512/kissfft when built and
+// registered backend (scalar always; avx2/avx512 when built and
 // supported): determinism, forward->inverse round-trip bound,
 // transform_batch bit-identity against per-row transforms, and the scalar
 // backend byte-equal to the reference loops on arbitrary float bits.

@@ -1,7 +1,8 @@
-// Fuzz harness: tnb::wire. Primitive round trips (whitening, Hamming,
-// diagonal interleaver, Gray shift mapping, header), the full WireCodec
-// encode -> decode identity over arbitrary configurations, and decoder
-// totality on arbitrary bins.
+// Fuzz harness: the wire-format coding table's primitive round trips
+// (whitening, Hamming, diagonal interleaver, Gray shift mapping, header),
+// and for both frame formats the full rx::FrameCodec encode -> decode
+// identity over arbitrary configurations and decoder totality on arbitrary
+// (possibly cut-short) bins.
 #include <cstddef>
 #include <cstdint>
 
@@ -15,10 +16,10 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       tnb::testing::oracle_wire_primitives_roundtrip(in);
       break;
     case 1:
-      tnb::testing::oracle_wire_codec_roundtrip(in);
+      tnb::testing::oracle_codec_roundtrip(in);
       break;
     default:
-      tnb::testing::oracle_wire_codec_totality(in);
+      tnb::testing::oracle_codec_totality(in);
       break;
   }
   return 0;

@@ -15,7 +15,7 @@
 #include "common/rng.hpp"
 #include "core/thrive.hpp"
 #include "lora/chirp.hpp"
-#include "lora/frame.hpp"
+#include "lora/coding.hpp"
 #include "lora/modulator.hpp"
 
 namespace tnb::rx {
@@ -32,8 +32,8 @@ struct Fixture {
   explicit Fixture(Rng& rng, double fake_amp) {
     const lora::Modulator mod(p);
     std::vector<std::uint8_t> app(14, 0x66);
-    symbols = lora::make_packet_symbols(p, app);
-    const IqBuffer pkt = mod.synthesize(symbols);
+    symbols = lora::encode_frame(lora::Coding::kPaper, p, app);
+    const IqBuffer pkt = mod.synthesize_shifts(symbols);
     const double t0 = 4.0 * p.sps();
     trace.assign(pkt.size() + 8 * p.sps(), cfloat{0.0f, 0.0f});
     for (std::size_t i = 0; i < pkt.size(); ++i) {
@@ -74,8 +74,7 @@ void seed_history(Fixture& fx, SigCalc& sig, PeakHistory& hist) {
   hist.bootstrap(sig.preamble_heights(fx.contexts[0]));
   for (int d = 0; d < fx.victim; ++d) {
     const auto& view = sig.data_symbol(0, fx.contexts[0], d);
-    const std::uint32_t bin = fx.p.shift_for_value(
-        fx.symbols[static_cast<std::size_t>(d)]);
+    const std::uint32_t bin = fx.symbols[static_cast<std::size_t>(d)];
     hist.record(d, view.sv[bin]);
   }
 }
@@ -86,8 +85,7 @@ TEST(AccidentalPeaks, ThriveHistoryRejectsTooTallImpostor) {
   SigCalc sig(fx.p, {fx.trace});
   std::vector<PeakHistory> hist(1);
   seed_history(fx, sig, hist[0]);
-  const int want = static_cast<int>(fx.p.shift_for_value(
-      fx.symbols[static_cast<std::size_t>(fx.victim)]));
+  const int want = static_cast<int>(fx.symbols[static_cast<std::size_t>(fx.victim)]);
 
   Thrive thrive(fx.p);
   EXPECT_EQ(fx.assign_victim(thrive, sig, hist), want)
@@ -102,8 +100,7 @@ TEST(AccidentalPeaks, AlignTrackPicksTheImpostor) {
   Fixture fx(rng, 2.5);
   SigCalc sig(fx.p, {fx.trace});
   std::vector<PeakHistory> hist(1);  // ignored by AlignTrack*
-  const int want = static_cast<int>(fx.p.shift_for_value(
-      fx.symbols[static_cast<std::size_t>(fx.victim)]));
+  const int want = static_cast<int>(fx.symbols[static_cast<std::size_t>(fx.victim)]);
 
   base::AlignTrackStar at(fx.p);
   const int got = fx.assign_victim(at, sig, hist);
@@ -119,8 +116,7 @@ TEST(AccidentalPeaks, SiblingOnlyThriveAlsoFooled) {
   SigCalc sig(fx.p, {fx.trace});
   std::vector<PeakHistory> hist(1);
   seed_history(fx, sig, hist[0]);
-  const int want = static_cast<int>(fx.p.shift_for_value(
-      fx.symbols[static_cast<std::size_t>(fx.victim)]));
+  const int want = static_cast<int>(fx.symbols[static_cast<std::size_t>(fx.victim)]);
 
   ThriveOptions opt;
   opt.use_history = false;

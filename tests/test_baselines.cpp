@@ -7,7 +7,7 @@
 #include "baselines/cic.hpp"
 #include "channel/awgn.hpp"
 #include "common/rng.hpp"
-#include "lora/frame.hpp"
+#include "lora/coding.hpp"
 #include "lora/gray.hpp"
 #include "lora/modulator.hpp"
 #include "sim/metrics.hpp"
@@ -31,15 +31,15 @@ struct Fixture {
           double amp_b, double noise, Rng& rng) {
     const lora::Modulator mod(p);
     std::vector<std::uint8_t> app_a(14, 0x3C), app_b(14, 0x4D);
-    symbols_a = lora::make_packet_symbols(p, app_a);
-    symbols_b = lora::make_packet_symbols(p, app_b);
+    symbols_a = lora::encode_frame(lora::Coding::kPaper, p, app_a);
+    symbols_b = lora::encode_frame(lora::Coding::kPaper, p, app_b);
     lora::WaveformOptions wa, wb;
     wa.cfo_hz = cfo_a;
     wa.amplitude = amp_a;
     wb.cfo_hz = cfo_b;
     wb.amplitude = amp_b;
-    const IqBuffer pa = mod.synthesize(symbols_a, wa);
-    const IqBuffer pb = mod.synthesize(symbols_b, wb);
+    const IqBuffer pa = mod.synthesize_shifts(symbols_a, wa);
+    const IqBuffer pb = mod.synthesize_shifts(symbols_b, wb);
     const double t0_a = 4.0 * p.sps();
     const double t0_b = t0_a + offset_symbols * p.sps();
     trace.assign(pa.size() + static_cast<std::size_t>(t0_b) + 8 * p.sps(),
@@ -87,8 +87,7 @@ struct Fixture {
       in.sig = &sig;
       for (const auto& a : assigner.assign(in)) {
         const auto& truth = a.packet == 0 ? symbols_a : symbols_b;
-        const std::uint32_t want = lora::shift_for_value(
-            truth[static_cast<std::size_t>(a.data_idx)]);
+        const std::uint32_t want = truth[static_cast<std::size_t>(a.data_idx)];
         ++checked;
         if (a.bin == static_cast<int>(want)) ++correct;
       }
@@ -204,8 +203,7 @@ TEST(ArgmaxAssigner, StrongPacketDominatesWeakOne) {
     in.sig = &sig;
     for (const auto& a : assigner.assign(in)) {
       if (a.packet != 1) continue;  // packet 1 is the weak one
-      const std::uint32_t want = lora::shift_for_value(
-          fx.symbols_b[static_cast<std::size_t>(a.data_idx)]);
+      const std::uint32_t want = fx.symbols_b[static_cast<std::size_t>(a.data_idx)];
       ++weak_checked;
       if (a.bin == static_cast<int>(want)) ++weak_correct;
     }

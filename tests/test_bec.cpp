@@ -6,19 +6,33 @@
 #include <set>
 
 #include "common/rng.hpp"
-#include "lora/frame.hpp"
-#include "lora/hamming.hpp"
-#include "lora/header.hpp"
-#include "lora/interleaver.hpp"
+#include "core/frame_codec.hpp"
+#include "lora/coding.hpp"
 
 namespace tnb::rx {
 namespace {
+
+/// A BEC codec for payload-only (implicit-header) paper frames carrying
+/// `app_bytes` application bytes at `p`'s coding rate.
+FrameCodec payload_codec(const lora::Params& p, std::size_t app_bytes) {
+  return FrameCodec({p, /*use_bec=*/true,
+                     ImplicitHeader{static_cast<std::uint8_t>(app_bytes + 2),
+                                    static_cast<std::uint8_t>(p.cr)}});
+}
+
+/// XORs the symbol value a raw shift carries (after the bin -> value map).
+void xor_value(const lora::Params& p, std::uint32_t& shift, std::uint32_t x) {
+  const lora::CodingTable& t = lora::coding_table(lora::Coding::kPaper);
+  shift = lora::shift_for_value(t, p.sf,
+                                lora::value_for_bin(t, p.sf, shift, p.ldro) ^ x,
+                                p.ldro);
+}
 
 /// A random block of valid codewords.
 std::vector<std::uint8_t> random_block(unsigned sf, unsigned cr, Rng& rng) {
   std::vector<std::uint8_t> rows(sf);
   for (auto& r : rows) {
-    r = lora::codewords(cr)[rng.uniform_index(16)];
+    r = lora::codebook(cr)[rng.uniform_index(16)];
   }
   return rows;
 }
@@ -139,7 +153,7 @@ TEST(BecDecode, GammaIsAlwaysFirstCandidate) {
   ASSERT_FALSE(cands.empty());
   // First candidate is the per-row default decode.
   for (unsigned r = 0; r < 8; ++r) {
-    EXPECT_EQ(cands[0][r], lora::default_decode(rx[r], 3).codeword);
+    EXPECT_EQ(cands[0][r], lora::nearest_codeword(rx[r], lora::codebook(3)).codeword);
   }
 }
 
@@ -290,8 +304,8 @@ TEST_P(BecPacket, CorrectsSymbolCorruptionBeyondDefaultDecoder) {
   for (int t = 0; t < trials; ++t) {
     std::vector<std::uint8_t> app(14);
     for (auto& b : app) b = static_cast<std::uint8_t>(rng.uniform_index(256));
-    const auto payload = lora::assemble_payload(app);
-    auto symbols = lora::encode_payload_symbols(p, payload);
+    const FrameCodec codec = payload_codec(p, app.size());
+    auto symbols = codec.encode_shifts(app);
 
     // Corrupt one symbol in each of two blocks (the paper's operating
     // envelope: W = 125 = 5^3 covers up to three corrupted CR1 blocks).
@@ -302,14 +316,14 @@ TEST_P(BecPacket, CorrectsSymbolCorruptionBeyondDefaultDecoder) {
     while (n_blocks > 1 && b2 == b1) b2 = rng.uniform_index(n_blocks);
     for (std::size_t blk : {b1, b2}) {
       const std::size_t victim = blk * cols + rng.uniform_index(cols);
-      symbols[victim] ^= static_cast<std::uint32_t>(
-          1 + rng.uniform_index((1u << sf) - 1));
+      xor_value(p, symbols[victim],
+                static_cast<std::uint32_t>(1 + rng.uniform_index((1u << sf) - 1)));
     }
-    BecPacketResult r =
-        decode_payload_bec(p, symbols, payload.size(), rng, nullptr);
+    const FrameDecodeResult r =
+        codec.decode_frame(symbols, *codec.implicit_header(), rng, nullptr);
     if (r.ok) {
       ++bec_ok;
-      EXPECT_EQ(r.payload, payload);
+      EXPECT_EQ(r.payload, app);
     }
   }
   // One corrupted symbol per block is within BEC's 1-column capability at
@@ -326,15 +340,16 @@ TEST(BecPacketLevel, RescuedCodewordsCounted) {
   lora::Params p{.sf = 8, .cr = 4};
   Rng rng(11);
   std::vector<std::uint8_t> app(14, 0x42);
-  const auto payload = lora::assemble_payload(app);
-  auto symbols = lora::encode_payload_symbols(p, payload);
+  const FrameCodec codec = payload_codec(p, app.size());
+  auto symbols = codec.encode_shifts(app);
   // Two corrupted symbols in block 0: beyond the default decoder for some
   // rows, so BEC must rescue at least one codeword.
-  symbols[0] ^= 0x55;
-  symbols[5] ^= 0x2A;
-  BecPacketResult r = decode_payload_bec(p, symbols, payload.size(), rng);
+  xor_value(p, symbols[0], 0x55);
+  xor_value(p, symbols[5], 0x2A);
+  const FrameDecodeResult r =
+      codec.decode_frame(symbols, *codec.implicit_header(), rng, nullptr);
   ASSERT_TRUE(r.ok);
-  EXPECT_EQ(r.payload, payload);
+  EXPECT_EQ(r.payload, app);
   EXPECT_GT(r.rescued_codewords, 0u);
 }
 
@@ -342,9 +357,10 @@ TEST(BecPacketLevel, CleanPacketZeroRescued) {
   lora::Params p{.sf = 8, .cr = 2};
   Rng rng(12);
   std::vector<std::uint8_t> app(14, 0x24);
-  const auto payload = lora::assemble_payload(app);
-  const auto symbols = lora::encode_payload_symbols(p, payload);
-  BecPacketResult r = decode_payload_bec(p, symbols, payload.size(), rng);
+  const FrameCodec codec = payload_codec(p, app.size());
+  const auto symbols = codec.encode_shifts(app);
+  const FrameDecodeResult r =
+      codec.decode_frame(symbols, *codec.implicit_header(), rng, nullptr);
   ASSERT_TRUE(r.ok);
   EXPECT_EQ(r.rescued_codewords, 0u);
 }
@@ -353,11 +369,14 @@ TEST(BecPacketLevel, HopelessCorruptionFailsCleanly) {
   lora::Params p{.sf = 8, .cr = 1};
   Rng rng(13);
   std::vector<std::uint8_t> app(14, 0x99);
-  const auto payload = lora::assemble_payload(app);
-  auto symbols = lora::encode_payload_symbols(p, payload);
-  for (auto& s : symbols) s ^= static_cast<std::uint32_t>(rng.uniform_index(256));
+  const FrameCodec codec = payload_codec(p, app.size());
+  auto symbols = codec.encode_shifts(app);
+  for (auto& s : symbols) {
+    xor_value(p, s, static_cast<std::uint32_t>(rng.uniform_index(256)));
+  }
   BecStats stats;
-  BecPacketResult r = decode_payload_bec(p, symbols, payload.size(), rng, &stats);
+  const FrameDecodeResult r =
+      codec.decode_frame(symbols, *codec.implicit_header(), rng, &stats);
   EXPECT_FALSE(r.ok);
   EXPECT_LE(stats.crc_checks, bec_w_budget(1));
 }
@@ -366,30 +385,34 @@ TEST(BecPacketLevel, ShortSymbolSpanFails) {
   lora::Params p{.sf = 8, .cr = 4};
   Rng rng(14);
   std::vector<std::uint32_t> too_few(4, 0);
-  BecPacketResult r = decode_payload_bec(p, too_few, 16, rng);
-  EXPECT_FALSE(r.ok);
+  const FrameCodec codec = payload_codec(p, 14);
+  EXPECT_FALSE(
+      codec.decode_frame(too_few, *codec.implicit_header(), rng, nullptr).ok);
 }
 
 TEST(BecHeader, CorrectsCorruptedHeaderSymbol) {
   lora::Params p{.sf = 8, .cr = 3};
   lora::Header h{.payload_len = 16, .cr = 3, .has_crc = true};
-  auto symbols = lora::encode_header_symbols(p, h);
+  auto symbols = lora::encode_frame(lora::Coding::kPaper, p,
+                                    std::vector<std::uint8_t>(14));
+  symbols.resize(lora::kHeaderSymbols);
+  const FrameCodec codec({.params = p, .use_bec = true});
   Rng rng(15);
   int ok = 0;
   const int trials = 100;
   for (int t = 0; t < trials; ++t) {
     auto corrupted = symbols;
     const std::size_t victim = rng.uniform_index(corrupted.size());
-    corrupted[victim] ^= static_cast<std::uint32_t>(
-        1 + rng.uniform_index((1u << p.sf) - 1));
-    const auto hdr = decode_header_bec(p, corrupted);
+    xor_value(p, corrupted[victim],
+              static_cast<std::uint32_t>(1 + rng.uniform_index((1u << p.sf) - 1)));
+    const auto hdr = codec.decode_header(corrupted, nullptr);
     if (hdr.has_value() && *hdr == h) ++ok;
   }
   EXPECT_EQ(ok, trials);  // 1-column errors always correctable at CR 4
 }
 
 TEST(BecPacketLevel, NoFalseAcceptUnderRandomCorruption) {
-  // Property (pinned seed, deterministic): whatever decode_payload_bec
+  // Property (pinned seed, deterministic): whatever decode_frame
   // does under corruption *beyond* its capability — arbitrarily many
   // symbols hit — it must never silently mis-decode: every accepted
   // payload equals the transmitted one or the packet is reported failed.
@@ -403,23 +426,24 @@ TEST(BecPacketLevel, NoFalseAcceptUnderRandomCorruption) {
                    .cr = 1u + static_cast<unsigned>(rng.uniform_index(4))};
     std::vector<std::uint8_t> app(1 + rng.uniform_index(24));
     for (auto& b : app) b = static_cast<std::uint8_t>(rng.uniform_index(256));
-    const auto payload = lora::assemble_payload(app);
-    auto symbols = lora::encode_payload_symbols(p, payload);
+    const FrameCodec codec = payload_codec(p, app.size());
+    auto symbols = codec.encode_shifts(app);
 
     // Corrupt between 1 symbol and half the packet, anywhere.
     const std::size_t n_bad = 1 + rng.uniform_index(symbols.size() / 2 + 1);
     const std::uint32_t mask = (1u << p.bits_per_symbol()) - 1u;
     for (std::size_t i = 0; i < n_bad; ++i) {
       const std::size_t at = rng.uniform_index(symbols.size());
-      symbols[at] ^= 1u + static_cast<std::uint32_t>(rng.uniform_index(mask));
+      xor_value(p, symbols[at],
+                1u + static_cast<std::uint32_t>(rng.uniform_index(mask)));
     }
 
     Rng dec_rng(static_cast<std::uint64_t>(trial) + 1);
-    const BecPacketResult r =
-        decode_payload_bec(p, symbols, payload.size(), dec_rng);
+    const FrameDecodeResult r =
+        codec.decode_frame(symbols, *codec.implicit_header(), dec_rng, nullptr);
     if (r.ok) {
       ++accepted;
-      ASSERT_EQ(r.payload, payload)
+      ASSERT_EQ(r.payload, app)
           << "silent mis-decode at trial " << trial << " (sf=" << p.sf
           << " cr=" << p.cr << ", " << n_bad << " corruptions)";
     } else {
@@ -434,7 +458,7 @@ TEST(BecPacketLevel, NoFalseAcceptUnderRandomCorruption) {
 TEST(BecHeader, TooFewSymbolsRejected) {
   lora::Params p{.sf = 8, .cr = 4};
   std::vector<std::uint32_t> syms(4, 0);
-  EXPECT_FALSE(decode_header_bec(p, syms).has_value());
+  EXPECT_FALSE(FrameCodec({.params = p}).decode_header(syms, nullptr).has_value());
 }
 
 }  // namespace

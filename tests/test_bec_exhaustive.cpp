@@ -5,7 +5,7 @@
 
 #include "common/rng.hpp"
 #include "core/bec.hpp"
-#include "lora/hamming.hpp"
+#include "lora/coding.hpp"
 
 namespace tnb::rx {
 namespace {
@@ -32,7 +32,7 @@ bool contains(const std::vector<std::vector<std::uint8_t>>& candidates,
 
 std::vector<std::uint8_t> random_codeword_block(unsigned cr, Rng& rng) {
   std::vector<std::uint8_t> rows(kSf);
-  for (auto& r : rows) r = lora::codewords(cr)[rng.uniform_index(16)];
+  for (auto& r : rows) r = lora::codebook(cr)[rng.uniform_index(16)];
   return rows;
 }
 

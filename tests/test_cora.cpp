@@ -15,7 +15,7 @@
 #include "baselines/hybrid.hpp"
 #include "channel/awgn.hpp"
 #include "common/rng.hpp"
-#include "lora/frame.hpp"
+#include "lora/coding.hpp"
 #include "lora/gray.hpp"
 #include "lora/modulator.hpp"
 #include "sim/metrics.hpp"
@@ -52,11 +52,11 @@ struct Fixture {
     std::vector<double> t0s;
     for (const Tx& tx : txs) {
       std::vector<std::uint8_t> app(14, tx.fill);
-      symbols.push_back(lora::make_packet_symbols(p, app));
+      symbols.push_back(lora::encode_frame(lora::Coding::kPaper, p, app));
       lora::WaveformOptions w;
       w.cfo_hz = tx.cfo_hz;
       w.amplitude = tx.amplitude;
-      bufs.push_back(mod.synthesize(symbols.back(), w));
+      bufs.push_back(mod.synthesize_shifts(symbols.back(), w));
       t0s.push_back(base_t0 + tx.offset_symbols * p.sps());
       end = std::max(end, t0s.back() + static_cast<double>(bufs.back().size()));
     }
@@ -131,8 +131,7 @@ struct Fixture {
       in.history = history;
       for (const auto& a : assigner.assign(in)) {
         const auto& truth = symbols[static_cast<std::size_t>(a.packet)];
-        const std::uint32_t want = lora::shift_for_value(
-            truth[static_cast<std::size_t>(a.data_idx)]);
+        const std::uint32_t want = truth[static_cast<std::size_t>(a.data_idx)];
         ++acc.checked[static_cast<std::size_t>(a.packet)];
         if (a.bin == static_cast<int>(want)) {
           ++acc.correct[static_cast<std::size_t>(a.packet)];
@@ -239,7 +238,7 @@ struct PinnedScenario {
         lora::WaveformOptions w;
         w.cfo_hz = (m == 0 ? 800.0 : -900.0) + 90.0 * k;
         w.amplitude = m == 0 ? 1.0 : 0.45;
-        bufs.push_back(mod.synthesize(lora::make_packet_symbols(p, app), w));
+        bufs.push_back(mod.synthesize_shifts(lora::encode_frame(lora::Coding::kPaper, p, app), w));
         t0s.push_back(4.0 * p.sps() + k * pair_stride +
                       (m == 0 ? 0.0 : 2.3 * p.sps()));
         end = std::max(end,

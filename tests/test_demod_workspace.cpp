@@ -19,7 +19,7 @@
 #include "core/window.hpp"
 #include "lora/chirp.hpp"
 #include "lora/demodulator.hpp"
-#include "lora/frame.hpp"
+#include "lora/coding.hpp"
 #include "lora/modulator.hpp"
 
 using namespace tnb;
@@ -287,7 +287,7 @@ IqBuffer make_collided_trace(const lora::Params& p, std::vector<double>& t0s,
                              std::vector<double>& cfos) {
   const lora::Modulator mod(p);
   std::vector<std::uint8_t> app(10, 0x3C);
-  const auto symbols = lora::make_packet_symbols(p, app);
+  const auto symbols = lora::encode_frame(lora::Coding::kPaper, p, app);
   const double sps = static_cast<double>(p.sps());
   IqBuffer trace(mod.packet_samples(symbols.size()) +
                      static_cast<std::size_t>(14.0 * sps),
@@ -300,7 +300,7 @@ IqBuffer make_collided_trace(const lora::Params& p, std::vector<double>& t0s,
     w.frac_delay = starts[k] - std::floor(starts[k]);
     w.cfo_hz = cfo_hz[k];
     w.amplitude = amps[k];
-    const IqBuffer pkt = mod.synthesize(symbols, w);
+    const IqBuffer pkt = mod.synthesize_shifts(symbols, w);
     const auto off = static_cast<std::size_t>(std::floor(starts[k]));
     for (std::size_t s = 0; s < pkt.size() && off + s < trace.size(); ++s) {
       trace[off + s] += pkt[s];

@@ -7,7 +7,7 @@
 #include "channel/awgn.hpp"
 #include "common/rng.hpp"
 #include "core/frac_sync.hpp"
-#include "lora/frame.hpp"
+#include "lora/coding.hpp"
 #include "lora/modulator.hpp"
 
 namespace tnb::rx {
@@ -23,13 +23,13 @@ IqBuffer one_packet_trace(const lora::Params& p, double start, double cfo_hz,
                           std::size_t trace_len = 0) {
   const lora::Modulator mod(p);
   std::vector<std::uint8_t> app(14, 0x5A);
-  const auto symbols = lora::make_packet_symbols(p, app);
+  const auto symbols = lora::encode_frame(lora::Coding::kPaper, p, app);
   lora::WaveformOptions wopt;
   wopt.cfo_hz = cfo_hz;
   wopt.amplitude = amplitude;
   const double start_floor = std::floor(start);
   wopt.frac_delay = start - start_floor;
-  const IqBuffer pkt = mod.synthesize(symbols, wopt);
+  const IqBuffer pkt = mod.synthesize_shifts(symbols, wopt);
 
   if (trace_len == 0) trace_len = pkt.size() + 8 * p.sps();
   IqBuffer trace(trace_len, cfloat{0.0f, 0.0f});
@@ -115,8 +115,8 @@ TEST(Detector, TwoSeparatedPackets) {
   Rng rng(5);
   const lora::Modulator mod(p);
   std::vector<std::uint8_t> app(14, 0x11);
-  const auto symbols = lora::make_packet_symbols(p, app);
-  const IqBuffer pkt = mod.synthesize(symbols);
+  const auto symbols = lora::encode_frame(lora::Coding::kPaper, p, app);
+  const IqBuffer pkt = mod.synthesize_shifts(symbols);
   IqBuffer trace(3 * pkt.size() + 20 * p.sps(), cfloat{0.0f, 0.0f});
   const double t0a = 2000.0, t0b = static_cast<double>(pkt.size() + 10 * p.sps());
   for (std::size_t i = 0; i < pkt.size(); ++i) {
@@ -139,12 +139,12 @@ TEST(Detector, CollidedPreamblesBothFound) {
   Rng rng(6);
   const lora::Modulator mod(p);
   std::vector<std::uint8_t> app(14, 0x77);
-  const auto symbols = lora::make_packet_symbols(p, app);
+  const auto symbols = lora::encode_frame(lora::Coding::kPaper, p, app);
   lora::WaveformOptions wa, wb;
   wa.cfo_hz = 1000.0;
   wb.cfo_hz = -2500.0;
-  const IqBuffer pa = mod.synthesize(symbols, wa);
-  const IqBuffer pb = mod.synthesize(symbols, wb);
+  const IqBuffer pa = mod.synthesize_shifts(symbols, wa);
+  const IqBuffer pb = mod.synthesize_shifts(symbols, wb);
   const double t0a = 2000.0;
   const double t0b = t0a + 3.5 * static_cast<double>(p.sps());
   IqBuffer trace(pa.size() + 12 * p.sps(), cfloat{0.0f, 0.0f});

@@ -6,7 +6,7 @@
 #include "common/rng.hpp"
 #include "core/receiver.hpp"
 #include "lora/demodulator.hpp"
-#include "lora/frame.hpp"
+#include "lora/coding.hpp"
 #include "lora/modulator.hpp"
 #include "sim/metrics.hpp"
 #include "sim/trace_builder.hpp"
@@ -22,16 +22,17 @@ TEST_P(PayloadSize, FrameRoundTripAnySize) {
   Rng rng(bytes);
   std::vector<std::uint8_t> app(bytes);
   for (auto& b : app) b = static_cast<std::uint8_t>(rng.uniform_index(256));
-  const auto symbols = lora::make_packet_symbols(p, app);
-  const auto hdr = lora::decode_header_default(
-      p, std::span<const std::uint32_t>(symbols).first(lora::kHeaderSymbols));
+  const auto symbols = lora::encode_frame(lora::Coding::kPaper, p, app);
+  const rx::FrameCodec codec({.params = p, .use_bec = false});
+  const auto hdr = codec.decode_header(
+      std::span<const std::uint32_t>(symbols).first(lora::kHeaderSymbols),
+      nullptr);
   ASSERT_TRUE(hdr.has_value());
   EXPECT_EQ(hdr->payload_len, bytes + 2);
-  const auto payload = lora::decode_payload_default(
-      p, std::span<const std::uint32_t>(symbols).subspan(lora::kHeaderSymbols),
-      hdr->payload_len);
-  ASSERT_TRUE(payload.has_value());
-  EXPECT_TRUE(std::equal(app.begin(), app.end(), payload->begin()));
+  Rng dec_rng(1);
+  const auto payload = codec.decode_frame(symbols, *hdr, dec_rng, nullptr);
+  ASSERT_TRUE(payload.ok);
+  EXPECT_EQ(payload.payload, app);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, PayloadSize,
@@ -40,9 +41,9 @@ INSTANTIATE_TEST_SUITE_P(Sizes, PayloadSize,
 TEST(EdgeCases, Sf6SmallestFrame) {
   lora::Params p{.sf = 6, .cr = 4, .bandwidth_hz = 125e3, .osf = 1};
   std::vector<std::uint8_t> app{0xAA};
-  const auto symbols = lora::make_packet_symbols(p, app);
+  const auto symbols = lora::encode_frame(lora::Coding::kPaper, p, app);
   // Header block (8) + ceil(6 nibbles / 6) * 8.
-  EXPECT_EQ(symbols.size(), lora::num_packet_symbols(p, 3));
+  EXPECT_EQ(symbols.size(), lora::frame_symbols(lora::Coding::kPaper, p, 1));
   for (std::uint32_t s : symbols) EXPECT_LT(s, 64u);
 }
 
@@ -51,15 +52,16 @@ TEST(EdgeCases, Sf12ModemRoundTrip) {
   lora::Modulator mod(p);
   lora::Demodulator demod(p);
   std::vector<std::uint8_t> app(14, 0xC3);
-  const auto symbols = lora::make_packet_symbols(p, app);
-  const IqBuffer pkt = mod.synthesize(symbols);
+  const auto symbols = lora::encode_frame(lora::Coding::kPaper, p, app);
+  const IqBuffer pkt = mod.synthesize_shifts(symbols);
   const std::size_t start = static_cast<std::size_t>(12.25 * p.sps());
   for (std::size_t s = 0; s < symbols.size(); ++s) {
     EXPECT_EQ(demod.demod_value(
                   std::span<const cfloat>(pkt).subspan(start + s * p.sps(),
                                                        p.sps()),
                   0.0),
-              symbols[s]);
+              lora::value_for_bin(lora::coding_table(lora::Coding::kPaper),
+                                  p.sf, symbols[s], p.ldro));
   }
 }
 
@@ -99,7 +101,8 @@ TEST(EdgeCases, NumSymbolsMonotoneInPayload) {
   lora::Params p{.sf = 10, .cr = 3};
   std::size_t prev = 0;
   for (std::size_t bytes = 1; bytes <= 64; ++bytes) {
-    const std::size_t n = lora::num_payload_symbols(p, bytes);
+    const std::size_t n = lora::frame_symbols(lora::Coding::kPaper, p, bytes,
+                                              /*implicit_header=*/true);
     EXPECT_GE(n, prev);
     EXPECT_EQ(n % p.codeword_len(), 0u);
     prev = n;

@@ -1,8 +1,8 @@
-#include "lora/hamming.hpp"
-
 #include <gtest/gtest.h>
 
 #include <bit>
+
+#include "lora/coding.hpp"
 
 namespace tnb::lora {
 namespace {
@@ -13,7 +13,7 @@ TEST(Hamming, PaperExampleCodeword) {
   // Paper Section 3: data '1001' -> codeword '10011100'.
   // The paper writes bits left-to-right as columns 1..8; our storage is
   // LSB-first, so data 1001 (d1=1, d2=0, d3=0, d4=1) is nibble 0b1001.
-  const std::uint8_t cw = hamming_encode8(0b1001);
+  const std::uint8_t cw = codebook(4)[0b1001];
   EXPECT_EQ(cw & 1, 1);         // c1 = 1
   EXPECT_EQ((cw >> 1) & 1, 0);  // c2 = 0
   EXPECT_EQ((cw >> 2) & 1, 0);  // c3 = 0
@@ -26,13 +26,13 @@ TEST(Hamming, PaperExampleCodeword) {
 
 TEST(Hamming, Cr3PaperExample) {
   // Paper: with CR 3 the transmitted codeword for '1001' is '1001110'.
-  const std::uint8_t cw = encode_cr(0b1001, 3);
+  const std::uint8_t cw = codebook(3)[0b1001];
   EXPECT_EQ(cw, 0b0111001);
 }
 
 TEST(Hamming, Cr1IsChecksum) {
   for (std::uint8_t d = 0; d < 16; ++d) {
-    const std::uint8_t cw = encode_cr(d, 1);
+    const std::uint8_t cw = codebook(1)[d];
     EXPECT_EQ(weight(cw) % 2, 0u) << "CR1 codeword must have even parity";
     EXPECT_EQ(cw & 0x0F, d);
   }
@@ -40,7 +40,7 @@ TEST(Hamming, Cr1IsChecksum) {
 
 TEST(Hamming, CodeIsLinear) {
   for (unsigned cr = 2; cr <= 4; ++cr) {
-    const auto& t = codewords(cr);
+    const auto& t = codebook(cr);
     for (unsigned a = 0; a < 16; ++a) {
       for (unsigned b = 0; b < 16; ++b) {
         EXPECT_EQ(t[a] ^ t[b], t[a ^ b]) << "cr=" << cr;
@@ -50,7 +50,7 @@ TEST(Hamming, CodeIsLinear) {
 }
 
 TEST(Hamming, Cr1IsAlsoLinear) {
-  const auto& t = codewords(1);
+  const auto& t = codebook(1);
   for (unsigned a = 0; a < 16; ++a) {
     for (unsigned b = 0; b < 16; ++b) EXPECT_EQ(t[a] ^ t[b], t[a ^ b]);
   }
@@ -60,23 +60,24 @@ class HammingMinDistance : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(HammingMinDistance, MatchesExpectation) {
   const unsigned cr = GetParam();
-  const auto& t = codewords(cr);
+  const auto& t = codebook(cr);
   unsigned dmin = 8;
   for (unsigned a = 0; a < 16; ++a) {
     for (unsigned b = a + 1; b < 16; ++b) {
       dmin = std::min(dmin, weight(static_cast<std::uint8_t>(t[a] ^ t[b])));
     }
   }
-  EXPECT_EQ(dmin, min_distance(cr));
+  const unsigned expect[5] = {0, 2, 2, 3, 4};
+  EXPECT_EQ(dmin, expect[cr]);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllCr, HammingMinDistance, ::testing::Values(1u, 2u, 3u, 4u));
 
 TEST(Hamming, DefaultDecodeCleanCodewords) {
   for (unsigned cr = 1; cr <= 4; ++cr) {
-    const auto& t = codewords(cr);
+    const auto& t = codebook(cr);
     for (unsigned d = 0; d < 16; ++d) {
-      const auto r = default_decode(t[d], cr);
+      const auto r = nearest_codeword(t[d], t);
       EXPECT_EQ(r.data, d);
       EXPECT_EQ(r.distance, 0u);
       EXPECT_TRUE(r.unique);
@@ -88,11 +89,11 @@ class HammingOneBit : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(HammingOneBit, Cr3Cr4CorrectAllSingleBitErrors) {
   const unsigned cr = GetParam();
-  const auto& t = codewords(cr);
+  const auto& t = codebook(cr);
   for (unsigned d = 0; d < 16; ++d) {
     for (unsigned b = 0; b < 4 + cr; ++b) {
       const std::uint8_t rx = static_cast<std::uint8_t>(t[d] ^ (1u << b));
-      const auto r = default_decode(rx, cr);
+      const auto r = nearest_codeword(rx, t);
       EXPECT_EQ(r.data, d) << "cr=" << cr << " data=" << d << " bit=" << b;
       EXPECT_TRUE(r.unique);
     }
@@ -107,11 +108,11 @@ TEST_P(HammingDetectOnly, Cr1Cr2DetectSingleBitErrors) {
   // dmin = 2: a 1-bit error is detected (distance 1 from >= 1 codeword, but
   // never decodes to distance 0) yet not uniquely correctable.
   const unsigned cr = GetParam();
-  const auto& t = codewords(cr);
+  const auto& t = codebook(cr);
   for (unsigned d = 0; d < 16; ++d) {
     for (unsigned b = 0; b < 4 + cr; ++b) {
       const std::uint8_t rx = static_cast<std::uint8_t>(t[d] ^ (1u << b));
-      const auto r = default_decode(rx, cr);
+      const auto r = nearest_codeword(rx, t);
       EXPECT_EQ(r.distance, 1u);
     }
   }
@@ -122,13 +123,13 @@ INSTANTIATE_TEST_SUITE_P(DetectingRates, HammingDetectOnly, ::testing::Values(1u
 TEST(Hamming, Cr4TwoBitErrorsAreDetected) {
   // dmin = 4: any 2-bit error stays at distance >= 2 from every codeword,
   // so the default decoder can never silently mis-decode it to distance <= 1.
-  const auto& t = codewords(4);
+  const auto& t = codebook(4);
   for (unsigned d = 0; d < 16; ++d) {
     for (unsigned b1 = 0; b1 < 8; ++b1) {
       for (unsigned b2 = b1 + 1; b2 < 8; ++b2) {
         const std::uint8_t rx =
             static_cast<std::uint8_t>(t[d] ^ (1u << b1) ^ (1u << b2));
-        const auto r = default_decode(rx, 4);
+        const auto r = nearest_codeword(rx, t);
         EXPECT_EQ(r.distance, 2u);
         EXPECT_FALSE(r.unique);  // always ambiguous at distance dmin/2
       }
@@ -137,16 +138,15 @@ TEST(Hamming, Cr4TwoBitErrorsAreDetected) {
 }
 
 TEST(Hamming, InvalidCrThrows) {
-  EXPECT_THROW(encode_cr(0, 0), std::invalid_argument);
-  EXPECT_THROW(encode_cr(0, 5), std::invalid_argument);
-  EXPECT_THROW(codewords(0), std::invalid_argument);
-  EXPECT_THROW(min_distance(9), std::invalid_argument);
+  EXPECT_THROW(codebook(0), std::invalid_argument);
+  EXPECT_THROW(codebook(5), std::invalid_argument);
+  EXPECT_THROW(codebook(9, Coding::kWire), std::invalid_argument);
 }
 
 TEST(Hamming, Cr4HasThreeWeightFourCodewordsContainingAnyPair) {
   // Appendix A.1: for CR 4 every pair of columns appears in exactly 3
   // weight-4 codewords (the companion-group property).
-  const auto& t = codewords(4);
+  const auto& t = codebook(4);
   for (unsigned c1 = 0; c1 < 8; ++c1) {
     for (unsigned c2 = c1 + 1; c2 < 8; ++c2) {
       unsigned count = 0;

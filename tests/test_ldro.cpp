@@ -5,7 +5,7 @@
 #include "common/rng.hpp"
 #include "core/receiver.hpp"
 #include "lora/demodulator.hpp"
-#include "lora/frame.hpp"
+#include "lora/coding.hpp"
 #include "lora/modulator.hpp"
 #include "sim/metrics.hpp"
 #include "sim/trace_builder.hpp"
@@ -22,14 +22,14 @@ TEST(Ldro, ValidationRules) {
 }
 
 TEST(Ldro, ShiftValueMappingQuantizes) {
-  Params p{.sf = 10, .cr = 4, .ldro = true};
+  const CodingTable& t = coding_table(Coding::kPaper);
   for (std::uint32_t v = 0; v < (1u << 8); ++v) {
-    const std::uint32_t h = p.shift_for_value(v);
+    const std::uint32_t h = shift_for_value(t, 10, v, true);
     EXPECT_EQ(h % 4, 0u);  // shifts are multiples of 4
-    EXPECT_EQ(p.value_for_shift(h), v);
+    EXPECT_EQ(value_for_bin(t, 10, h, true), v);
     // +/-1 bin errors do not change the decoded value.
-    EXPECT_EQ(p.value_for_shift((h + 1) % 1024), v);
-    EXPECT_EQ(p.value_for_shift((h + 1023) % 1024), v);
+    EXPECT_EQ(value_for_bin(t, 10, (h + 1) % 1024, true), v);
+    EXPECT_EQ(value_for_bin(t, 10, (h + 1023) % 1024, true), v);
   }
 }
 
@@ -38,17 +38,20 @@ TEST(Ldro, FrameRoundTrip) {
   Rng rng(1);
   std::vector<std::uint8_t> app(14);
   for (auto& b : app) b = static_cast<std::uint8_t>(rng.uniform_index(256));
-  const auto symbols = make_packet_symbols(p, app);
-  for (std::uint32_t s : symbols) EXPECT_LT(s, 1u << 9);
+  const auto symbols = encode_frame(Coding::kPaper, p, app);
+  for (std::uint32_t s : symbols) {
+    EXPECT_EQ(s % 4, 0u);  // 9 data bits per symbol: 2^11 bins / 4
+    EXPECT_LT(s, 1u << 11);
+  }
 
-  const auto hdr = decode_header_default(
-      p, std::span<const std::uint32_t>(symbols).first(kHeaderSymbols));
+  const rx::FrameCodec codec({.params = p, .use_bec = false});
+  const auto hdr = codec.decode_header(
+      std::span<const std::uint32_t>(symbols).first(kHeaderSymbols), nullptr);
   ASSERT_TRUE(hdr.has_value());
-  const auto payload = decode_payload_default(
-      p, std::span<const std::uint32_t>(symbols).subspan(kHeaderSymbols),
-      hdr->payload_len);
-  ASSERT_TRUE(payload.has_value());
-  EXPECT_TRUE(std::equal(app.begin(), app.end(), payload->begin()));
+  Rng dec_rng(1);
+  const auto payload = codec.decode_frame(symbols, *hdr, dec_rng, nullptr);
+  ASSERT_TRUE(payload.ok);
+  EXPECT_EQ(payload.payload, app);
 }
 
 TEST(Ldro, ModemRoundTrip) {
@@ -57,15 +60,16 @@ TEST(Ldro, ModemRoundTrip) {
   Demodulator demod(p);
   Rng rng(2);
   std::vector<std::uint8_t> app(14, 0x3A);
-  const auto symbols = make_packet_symbols(p, app);
-  const IqBuffer pkt = mod.synthesize(symbols);
+  const auto symbols = encode_frame(Coding::kPaper, p, app);
+  const IqBuffer pkt = mod.synthesize_shifts(symbols);
   const std::size_t start = static_cast<std::size_t>(12.25 * p.sps());
   for (std::size_t s = 0; s < symbols.size(); ++s) {
     EXPECT_EQ(demod.demod_value(
                   std::span<const cfloat>(pkt).subspan(start + s * p.sps(),
                                                        p.sps()),
                   0.0),
-              symbols[s]);
+              value_for_bin(coding_table(Coding::kPaper), p.sf, symbols[s],
+                            p.ldro));
   }
 }
 
@@ -91,15 +95,16 @@ TEST(Ldro, SurvivesCfoResidualThatBreaksNonLdro) {
     Modulator mod(p);
     Demodulator demod(p);
     std::vector<std::uint8_t> app(14, 0x77);
-    const auto symbols = make_packet_symbols(p, app);
-    const IqBuffer pkt = mod.synthesize(symbols);
+    const auto symbols = encode_frame(Coding::kPaper, p, app);
+    const IqBuffer pkt = mod.synthesize_shifts(symbols);
     const std::size_t start = static_cast<std::size_t>(12.25 * p.sps());
     int errors = 0;
     for (std::size_t s = 0; s < symbols.size(); ++s) {
       const std::uint32_t v = demod.demod_value(
           std::span<const cfloat>(pkt).subspan(start + s * p.sps(), p.sps()),
           -0.8);  // 0.8 cycles of uncorrected CFO
-      errors += (v != symbols[s]);
+      errors += (v != value_for_bin(coding_table(Coding::kPaper), p.sf,
+                                    symbols[s], p.ldro));
     }
     if (ldro) {
       EXPECT_EQ(errors, 0) << "LDRO must absorb a one-bin offset";

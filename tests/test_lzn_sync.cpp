@@ -11,7 +11,7 @@
 #include "baselines/factories.hpp"
 #include "channel/awgn.hpp"
 #include "common/rng.hpp"
-#include "lora/frame.hpp"
+#include "lora/coding.hpp"
 #include "lora/modulator.hpp"
 #include "sim/metrics.hpp"
 #include "sim/trace_builder.hpp"
@@ -32,7 +32,7 @@ IqBuffer make_single_packet_trace(const lora::Params& p, double t0,
   w.cfo_hz = cfo_hz;
   w.amplitude = amplitude;
   w.frac_delay = frac_delay;
-  const IqBuffer pkt = mod.synthesize(lora::make_packet_symbols(p, app), w);
+  const IqBuffer pkt = mod.synthesize_shifts(lora::encode_frame(lora::Coding::kPaper, p, app), w);
   IqBuffer trace(static_cast<std::size_t>(t0) + pkt.size() + 8 * p.sps(),
                  cfloat{0.0f, 0.0f});
   for (std::size_t i = 0; i < pkt.size(); ++i) {
@@ -129,8 +129,8 @@ TEST(LZnSync, SurfacesWeakPreambleUnderStrongCollider) {
   wa.amplitude = 1.0;
   wb.cfo_hz = -600.0;
   wb.amplitude = 0.3;
-  const IqBuffer pa = mod.synthesize(lora::make_packet_symbols(p, app_a), wa);
-  const IqBuffer pb = mod.synthesize(lora::make_packet_symbols(p, app_b), wb);
+  const IqBuffer pa = mod.synthesize_shifts(lora::encode_frame(lora::Coding::kPaper, p, app_a), wa);
+  const IqBuffer pb = mod.synthesize_shifts(lora::encode_frame(lora::Coding::kPaper, p, app_b), wb);
   const double t0_a = 4.0 * p.sps();
   // The weak preamble sits entirely inside the strong packet's payload.
   const double t0_b = t0_a + 16.0 * p.sps() + 0.4 * p.sps();

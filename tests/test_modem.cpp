@@ -6,7 +6,7 @@
 #include "common/rng.hpp"
 #include "lora/chirp.hpp"
 #include "lora/demodulator.hpp"
-#include "lora/frame.hpp"
+#include "lora/coding.hpp"
 #include "lora/gray.hpp"
 #include "lora/modulator.hpp"
 
@@ -67,7 +67,7 @@ TEST(Modem, PeakHeightDropsWithTimingError) {
   Modulator mod(p);
   Demodulator demod(p);
   std::vector<std::uint32_t> data(8, 0);
-  const IqBuffer pkt = mod.synthesize(data);
+  const IqBuffer pkt = mod.synthesize_shifts(data);
 
   const std::size_t sps = p.sps();
   // Aligned window over the first preamble upchirp.
@@ -91,10 +91,10 @@ TEST(Modem, PeakHeightDropsWithResidualCfo) {
   EXPECT_LT(off[42], 0.6f * clean[42]);
   // Correcting the CFO that was actually applied restores the peak.
   Modulator mod(p);
-  std::vector<std::uint32_t> one_sym{value_for_shift(42)};
+  std::vector<std::uint32_t> one_sym{42};
   WaveformOptions opt;
   opt.cfo_hz = p.cfo_cycles_to_hz(0.5);
-  const IqBuffer pkt = mod.synthesize(one_sym, opt);
+  const IqBuffer pkt = mod.synthesize_shifts(one_sym, opt);
   // Data symbols start after the 12.25-symbol preamble.
   const std::size_t start = static_cast<std::size_t>(12.25 * p.sps());
   const SignalVector corrected = demod.signal_vector(
@@ -109,10 +109,10 @@ TEST(Modem, IntegerCfoShiftsPeakBin) {
   const auto sym = make_upchirp(p, 100);
   // Without correction, +3 cycles/symbol of CFO moves the peak 3 bins up.
   Modulator mod(p);
-  std::vector<std::uint32_t> one_sym{value_for_shift(100)};
+  std::vector<std::uint32_t> one_sym{100};
   WaveformOptions opt;
   opt.cfo_hz = p.cfo_cycles_to_hz(3.0);
-  const IqBuffer pkt = mod.synthesize(one_sym, opt);
+  const IqBuffer pkt = mod.synthesize_shifts(one_sym, opt);
   const std::size_t start = static_cast<std::size_t>(12.25 * p.sps());
   const SignalVector sv = demod.signal_vector(
       std::span<const cfloat>(pkt).subspan(start, p.sps()), 0.0);
@@ -124,7 +124,7 @@ TEST(Modem, PreambleLayoutPeaks) {
   Modulator mod(p);
   Demodulator demod(p);
   std::vector<std::uint32_t> data(10, 5);
-  const IqBuffer pkt = mod.synthesize(data);
+  const IqBuffer pkt = mod.synthesize_shifts(data);
   const std::size_t sps = p.sps();
 
   // 8 upchirps at bin 0.
@@ -153,15 +153,17 @@ TEST(Modem, FullPacketSymbolRecovery) {
   Rng rng(4);
   std::vector<std::uint8_t> app(14);
   for (auto& b : app) b = static_cast<std::uint8_t>(rng.uniform_index(256));
-  const auto tx_symbols = make_packet_symbols(p, app);
-  const IqBuffer pkt = mod.synthesize(tx_symbols);
+  const auto tx_symbols = encode_frame(Coding::kPaper, p, app);
+  const IqBuffer pkt = mod.synthesize_shifts(tx_symbols);
 
   const std::size_t sps = p.sps();
   const std::size_t data_start = static_cast<std::size_t>(12.25 * sps);
   for (std::size_t s = 0; s < tx_symbols.size(); ++s) {
     const std::uint32_t v = demod.demod_value(
         std::span<const cfloat>(pkt).subspan(data_start + s * sps, sps), 0.0);
-    EXPECT_EQ(v, tx_symbols[s]) << "symbol " << s;
+    EXPECT_EQ(v, value_for_bin(coding_table(Coding::kPaper), p.sf,
+                               tx_symbols[s], p.ldro))
+        << "symbol " << s;
   }
 }
 
@@ -169,10 +171,10 @@ TEST(Modem, FractionalDelayHalfSampleStillDecodes) {
   Params p{.sf = 8, .osf = 8};
   Modulator mod(p);
   Demodulator demod(p);
-  std::vector<std::uint32_t> data{value_for_shift(77)};
+  std::vector<std::uint32_t> data{77};
   WaveformOptions opt;
   opt.frac_delay = 0.5;
-  const IqBuffer pkt = mod.synthesize(data, opt);
+  const IqBuffer pkt = mod.synthesize_shifts(data, opt);
   const std::size_t start = static_cast<std::size_t>(12.25 * p.sps());
   const SignalVector sv = demod.signal_vector(
       std::span<const cfloat>(pkt).subspan(start, p.sps()), 0.0);
@@ -184,11 +186,11 @@ TEST(Modem, AmplitudeScalesPower) {
   Params p{.sf = 7, .osf = 2};
   Modulator mod(p);
   Demodulator demod(p);
-  std::vector<std::uint32_t> data{value_for_shift(10)};
+  std::vector<std::uint32_t> data{10};
   WaveformOptions loud;
   loud.amplitude = 2.0;
-  const IqBuffer quiet_pkt = mod.synthesize(data);
-  const IqBuffer loud_pkt = mod.synthesize(data, loud);
+  const IqBuffer quiet_pkt = mod.synthesize_shifts(data);
+  const IqBuffer loud_pkt = mod.synthesize_shifts(data, loud);
   const std::size_t start = static_cast<std::size_t>(12.25 * p.sps());
   const SignalVector a = demod.signal_vector(
       std::span<const cfloat>(quiet_pkt).subspan(start, p.sps()), 0.0);

@@ -9,7 +9,7 @@
 
 #include "common/rng.hpp"
 #include "core/bec.hpp"
-#include "lora/hamming.hpp"
+#include "lora/coding.hpp"
 
 namespace tnb::rx {
 namespace {
@@ -37,7 +37,7 @@ TEST(PaperExample, CompanionOfColumns2And7IsColumn3) {
   // The underlying fact: 0b1000110 (columns 2,3,7 set) is a codeword.
   bool found = false;
   for (unsigned d = 0; d < 16; ++d) {
-    if (lora::codewords(3)[d] ==
+    if (lora::codebook(3)[d] ==
         ((1u << kCol2) | (1u << kCol3) | (1u << kCol7))) {
       found = true;
     }
@@ -51,7 +51,7 @@ TEST(PaperExample, Fig2Fig7BlockRecovered) {
   // at most one.
   Rng rng(2022);
   std::vector<std::uint8_t> truth(8);
-  for (auto& r : truth) r = lora::codewords(3)[rng.uniform_index(16)];
+  for (auto& r : truth) r = lora::codebook(3)[rng.uniform_index(16)];
 
   std::vector<std::uint8_t> received = truth;
   // Single errors: rows 2,3,4 in column 2; rows 5,6,8 in column 7.
@@ -63,7 +63,7 @@ TEST(PaperExample, Fig2Fig7BlockRecovered) {
   // The default decoder fixes every single-error row but mis-corrects
   // row 7 by flipping companion column 3 (Fig. 2(c)).
   for (unsigned r = 0; r < 8; ++r) {
-    const auto d = lora::default_decode(received[r], 3);
+    const auto d = lora::nearest_codeword(received[r], lora::codebook(3));
     if (r == 6) {
       EXPECT_NE(d.codeword, truth[r]);
       EXPECT_EQ(d.codeword, received[r] ^ (1u << kCol3))
@@ -92,7 +92,7 @@ TEST(PaperExample, XiContainsTrueColumnsAndCompanion) {
   // the Xi = {c2, c3, c7} the paper reads off the diffs.
   Rng rng(7);
   std::vector<std::uint8_t> truth(8);
-  for (auto& r : truth) r = lora::codewords(3)[rng.uniform_index(16)];
+  for (auto& r : truth) r = lora::codebook(3)[rng.uniform_index(16)];
   std::vector<std::uint8_t> received = truth;
   for (unsigned r : {1u, 2u, 3u}) received[r] ^= 1u << kCol2;
   for (unsigned r : {4u, 5u, 7u}) received[r] ^= 1u << kCol7;
@@ -101,7 +101,7 @@ TEST(PaperExample, XiContainsTrueColumnsAndCompanion) {
   std::uint8_t xi = 0;
   for (unsigned r = 0; r < 8; ++r) {
     const std::uint8_t diff =
-        received[r] ^ lora::default_decode(received[r], 3).codeword;
+        received[r] ^ lora::nearest_codeword(received[r], lora::codebook(3)).codeword;
     if (std::popcount(static_cast<unsigned>(diff)) == 1) xi |= diff;
   }
   EXPECT_EQ(xi, (1u << kCol2) | (1u << kCol3) | (1u << kCol7));

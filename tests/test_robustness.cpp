@@ -9,7 +9,7 @@
 #include "common/rng.hpp"
 #include "core/receiver.hpp"
 #include "lora/chirp.hpp"
-#include "lora/frame.hpp"
+#include "lora/coding.hpp"
 #include "lora/modulator.hpp"
 #include "sim/metrics.hpp"
 #include "sim/trace_builder.hpp"
@@ -79,8 +79,8 @@ TEST(Robustness, PacketCutAtTraceStartDoesNotCrash) {
   const lora::Modulator mod(p);
   Rng rng(7);
   std::vector<std::uint8_t> app(14, 0x21);
-  const auto symbols = lora::make_packet_symbols(p, app);
-  const IqBuffer pkt = mod.synthesize(symbols);
+  const auto symbols = lora::encode_frame(lora::Coding::kPaper, p, app);
+  const IqBuffer pkt = mod.synthesize_shifts(symbols);
   IqBuffer trace(pkt.size(), cfloat{0.0f, 0.0f});
   // Copy only the second half of the preamble onward.
   const std::size_t cut = 6 * p.sps();

@@ -8,7 +8,7 @@
 #include "common/math_util.hpp"
 #include "common/rng.hpp"
 #include "core/sibling.hpp"
-#include "lora/frame.hpp"
+#include "lora/coding.hpp"
 #include "lora/gray.hpp"
 #include "lora/modulator.hpp"
 
@@ -32,15 +32,15 @@ struct CollisionFixture {
                    double amp_a, double amp_b, double noise, Rng& rng) {
     const lora::Modulator mod(p);
     std::vector<std::uint8_t> app_a(14, 0xA1), app_b(14, 0xB2);
-    symbols_a = lora::make_packet_symbols(p, app_a);
-    symbols_b = lora::make_packet_symbols(p, app_b);
+    symbols_a = lora::encode_frame(lora::Coding::kPaper, p, app_a);
+    symbols_b = lora::encode_frame(lora::Coding::kPaper, p, app_b);
     lora::WaveformOptions wa, wb;
     wa.cfo_hz = cfo_a_hz;
     wa.amplitude = amp_a;
     wb.cfo_hz = cfo_b_hz;
     wb.amplitude = amp_b;
-    const IqBuffer pa = mod.synthesize(symbols_a, wa);
-    const IqBuffer pb = mod.synthesize(symbols_b, wb);
+    const IqBuffer pa = mod.synthesize_shifts(symbols_a, wa);
+    const IqBuffer pb = mod.synthesize_shifts(symbols_b, wb);
     t0_a = 4.0 * p.sps();
     t0_b = t0_a + offset_symbols * p.sps();
     trace.assign(pa.size() + static_cast<std::size_t>(t0_b) + 8 * p.sps(),
@@ -149,8 +149,7 @@ TEST(Thrive, ResolvesCollisionWithDistinctBoundaries) {
     for (const auto& a : res) {
       const auto& truth =
           a.packet == 0 ? fx.symbols_a : fx.symbols_b;
-      const std::uint32_t want = lora::shift_for_value(
-          truth[static_cast<std::size_t>(a.data_idx)]);
+      const std::uint32_t want = truth[static_cast<std::size_t>(a.data_idx)];
       ++checked;
       if (a.bin == static_cast<int>(want)) ++correct;
       hist[static_cast<std::size_t>(a.packet)].record(a.data_idx, a.height);
@@ -182,8 +181,7 @@ TEST(Thrive, SiblingOnlyStillResolvesEasyCollision) {
     const auto res = thrive.assign(in);
     for (const auto& a : res) {
       const auto& truth = a.packet == 0 ? fx.symbols_a : fx.symbols_b;
-      const std::uint32_t want = lora::shift_for_value(
-          truth[static_cast<std::size_t>(a.data_idx)]);
+      const std::uint32_t want = truth[static_cast<std::size_t>(a.data_idx)];
       ++checked;
       if (a.bin == static_cast<int>(want)) ++correct;
     }
@@ -201,8 +199,7 @@ TEST(Thrive, MaskedBinsAreNeverAssigned) {
     if (act.size() != 2) continue;
     // Mask the true bin of symbol 0: Thrive must pick something else.
     const auto& truth = act[0].packet == 0 ? fx.symbols_a : fx.symbols_b;
-    const double true_bin = lora::shift_for_value(
-        truth[static_cast<std::size_t>(act[0].data_idx)]);
+    const double true_bin = truth[static_cast<std::size_t>(act[0].data_idx)];
     std::vector<std::vector<double>> masks(act.size());
     masks[0].push_back(true_bin);
     AssignInput in;

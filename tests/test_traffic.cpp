@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "lora/frame.hpp"
+#include "lora/coding.hpp"
 #include "sim/deployment.hpp"
 #include "sim/experiment.hpp"
 #include "sim/trace_builder.hpp"
@@ -233,7 +233,8 @@ TEST(Traffic, ForeignSfExcludedFromGroundTruth) {
   for (const sim::TxPacketRecord& rec : trace.packets) {
     // Same-SF records only: their symbol counts match params at SF 8.
     EXPECT_EQ(rec.n_data_symbols,
-              lora::num_packet_symbols(params, opt.app_payload_bytes + 2));
+              lora::frame_symbols(lora::Coding::kPaper, params,
+                                  opt.app_payload_bytes));
   }
 }
 

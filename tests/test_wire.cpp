@@ -1,8 +1,10 @@
-// tnb::wire — gr-lora-sdr wire-format primitives and the WireCodec frame
-// chain: per-primitive round trips, the full encode -> decode identity over
-// the SF x CR grid (explicit and implicit headers, LDRO), single-symbol
-// error correction through the diagonal interleaver, and end-to-end decodes
-// through Receiver / StreamingReceiver on synthesized IQ.
+// The gr-lora-sdr wire format (lora::Coding::kWire): the wire coding
+// table through the shared stages (whitening, CRC16, codebook, MSB-first
+// interleaver, +1 Gray map, header), the full rx::FrameCodec encode ->
+// decode identity over the SF x CR grid (explicit and implicit headers,
+// LDRO), single-symbol error correction through the diagonal interleaver,
+// and end-to-end decodes through Receiver / StreamingReceiver on
+// synthesized IQ.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,17 +14,69 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/frame_codec.hpp"
 #include "core/receiver.hpp"
+#include "lora/coding.hpp"
+#include "lora/modulator.hpp"
 #include "sim/trace_builder.hpp"
 #include "stream/streaming_receiver.hpp"
-#include "wire/wire_codec.hpp"
-#include "wire/wire_format.hpp"
-#include "wire/wire_modulator.hpp"
 
 namespace {
 
 using namespace tnb;
-using namespace tnb::wire;
+using lora::Coding;
+
+const lora::CodingTable& wire() { return lora::coding_table(Coding::kWire); }
+
+std::vector<std::uint8_t> whitening_sequence(std::size_t n) {
+  std::vector<std::uint8_t> seq(n, 0);
+  wire().whiten(seq);
+  return seq;
+}
+
+void whiten(std::vector<std::uint8_t>& bytes) { wire().whiten(bytes); }
+
+/// The CRC16 as the 16-bit value its two little-endian bytes carry.
+std::uint16_t payload_crc16(std::span<const std::uint8_t> payload) {
+  const auto b = wire().crc_bytes(payload);
+  return static_cast<std::uint16_t>(b[0] | (b[1] << 8));
+}
+
+/// Reference gr-lora-sdr Hamming encoder: MSB-first d3 d2 d1 d0 p0 p1 p2
+/// p3 truncated to 4+CR bits; CR 1 is the data plus overall parity.
+std::uint8_t wire_encode(unsigned nibble, unsigned cr) {
+  const unsigned n = nibble & 0x0F;
+  const unsigned d0 = n & 1, d1 = (n >> 1) & 1, d2 = (n >> 2) & 1, d3 = (n >> 3) & 1;
+  if (cr == 1) return static_cast<std::uint8_t>((n << 1) | (d0 ^ d1 ^ d2 ^ d3));
+  const unsigned full8 = (n << 4) | ((d3 ^ d2 ^ d1) << 3) |
+                         ((d2 ^ d1 ^ d0) << 2) | ((d3 ^ d2 ^ d0) << 1) |
+                         (d3 ^ d1 ^ d0);
+  return static_cast<std::uint8_t>(full8 >> (4 - cr));
+}
+
+std::uint8_t wire_data(std::uint8_t cw, unsigned cr) {
+  return lora::codeword_data(wire(), cw, cr);
+}
+
+lora::NearestCodeword wire_decode(std::uint8_t row, unsigned cr) {
+  return lora::nearest_codeword(row, lora::codebook(cr, Coding::kWire));
+}
+
+std::vector<std::uint32_t> wire_interleave(std::span<const std::uint8_t> rows,
+                                           unsigned cw_len) {
+  return lora::interleave_block(rows, cw_len - 4, wire().msb_first);
+}
+
+std::vector<std::uint8_t> wire_deinterleave(
+    std::span<const std::uint32_t> symbols, unsigned rows, unsigned cw_len) {
+  return lora::deinterleave_block(symbols, rows, cw_len - 4, wire().msb_first);
+}
+
+/// Header with the wire length field `len` (CRC16 excluded).
+lora::Header wire_header(unsigned len, unsigned cr, bool crc) {
+  return {static_cast<std::uint8_t>(len + (crc ? 2 : 0)),
+          static_cast<std::uint8_t>(cr), crc};
+}
 
 // ---------------------------------------------------------------- whitening
 
@@ -72,7 +126,7 @@ TEST(WireHamming, RoundTripAllNibblesAllRates) {
       EXPECT_LT(cw, 1u << (4 + cr));
       EXPECT_EQ(wire_data(cw, cr), n);
       EXPECT_EQ(wire_decode(cw, cr).data, n);
-      EXPECT_EQ(wire_codewords(cr)[n], cw);
+      EXPECT_EQ(lora::codebook(cr, Coding::kWire)[n], cw);
     }
   }
 }
@@ -104,7 +158,7 @@ TEST(WireHamming, MinimumDistancePerRate) {
   const unsigned expect_dmin[5] = {0, 2, 2, 3, 4};
   for (unsigned cr = 1; cr <= 4; ++cr) {
     unsigned dmin = 8;
-    const auto& book = wire_codewords(cr);
+    const auto& book = lora::codebook(cr, Coding::kWire);
     for (unsigned a = 0; a < 16; ++a) {
       for (unsigned b = a + 1; b < 16; ++b) {
         dmin = std::min(dmin, static_cast<unsigned>(std::popcount(
@@ -126,7 +180,7 @@ TEST(WireInterleave, RoundTrip) {
       for (auto& r : rows) {
         r = static_cast<std::uint8_t>(rng.uniform_index(1u << cwl));
       }
-      const auto symbols = wire_interleave(rows, sf_app, cwl);
+      const auto symbols = wire_interleave(rows, cwl);
       ASSERT_EQ(symbols.size(), cwl);
       for (std::uint32_t s : symbols) EXPECT_LT(s, 1u << sf_app);
       EXPECT_EQ(wire_deinterleave(symbols, sf_app, cwl), rows);
@@ -141,7 +195,7 @@ TEST(WireInterleave, CorruptSymbolHitsOneBitPositionOfEveryRow) {
   Rng rng(5);
   std::vector<std::uint8_t> rows(sf_app);
   for (auto& r : rows) r = static_cast<std::uint8_t>(rng.uniform_index(256));
-  auto symbols = wire_interleave(rows, sf_app, cwl);
+  auto symbols = wire_interleave(rows, cwl);
   const unsigned victim = 3;
   symbols[victim] ^= 0xB7u & ((1u << sf_app) - 1u);
   const auto back = wire_deinterleave(symbols, sf_app, cwl);
@@ -158,18 +212,19 @@ TEST(WireGray, ShiftRoundTrip) {
   for (unsigned sf : {5u, 7u, 10u, 12u}) {
     const std::uint32_t n_full = 1u << sf;
     for (std::uint32_t v = 0; v < n_full; ++v) {
-      EXPECT_EQ(wire_symbol_for_bin(wire_shift_for_symbol(v, sf, false), sf,
+      EXPECT_EQ(lora::value_for_bin(wire(), sf,
+                                    lora::shift_for_value(wire(), sf, v, false),
                                     false),
                 v);
     }
     if (sf < 7) continue;
     const std::uint32_t n_red = 1u << (sf - 2);
     for (std::uint32_t v = 0; v < n_red; ++v) {
-      const std::uint32_t shift = wire_shift_for_symbol(v, sf, true);
-      EXPECT_EQ(wire_symbol_for_bin(shift, sf, true), v);
+      const std::uint32_t shift = lora::shift_for_value(wire(), sf, v, true);
+      EXPECT_EQ(lora::value_for_bin(wire(), sf, shift, true), v);
       // The truncating /4 absorbs +1 and +2 bin errors on reduced blocks.
-      EXPECT_EQ(wire_symbol_for_bin((shift + 1) & (n_full - 1), sf, true), v);
-      EXPECT_EQ(wire_symbol_for_bin((shift + 2) & (n_full - 1), sf, true), v);
+      EXPECT_EQ(lora::value_for_bin(wire(), sf, (shift + 1) & (n_full - 1), true), v);
+      EXPECT_EQ(lora::value_for_bin(wire(), sf, (shift + 2) & (n_full - 1), true), v);
     }
   }
 }
@@ -177,30 +232,31 @@ TEST(WireGray, ShiftRoundTrip) {
 // ------------------------------------------------------------------ header
 
 TEST(WireHeaderNibbles, RoundTrip) {
-  for (unsigned len : {1u, 14u, 16u, 100u, 255u}) {
+  for (unsigned len : {1u, 14u, 16u, 100u, 253u, 255u}) {
     for (unsigned cr = 1; cr <= 4; ++cr) {
       for (bool crc : {false, true}) {
-        const WireHeader h{static_cast<std::uint8_t>(len),
-                           static_cast<std::uint8_t>(cr), crc};
-        const auto nibbles = wire_header_nibbles(h);
-        const auto parsed = parse_wire_header(nibbles);
+        // Header::payload_len counts the CRC16: a 255-byte payload plus
+        // CRC has no on-air length, so only the CRC-less one exists.
+        if (crc && len > 253) continue;
+        const lora::Header h = wire_header(len, cr, crc);
+        const auto nibbles = wire().header_nibbles(h);
+        EXPECT_EQ(nibbles[0] << 4 | nibbles[1], len);  // CRC16 excluded
+        const auto parsed = wire().parse_header(nibbles);
         ASSERT_TRUE(parsed.has_value());
-        EXPECT_EQ(parsed->payload_len, len);
-        EXPECT_EQ(parsed->cr, cr);
-        EXPECT_EQ(parsed->has_crc, crc);
+        EXPECT_EQ(*parsed, h);
       }
     }
   }
 }
 
 TEST(WireHeaderNibbles, ChecksumCatchesSingleNibbleCorruption) {
-  const WireHeader h{16, 2, true};
-  const auto good = wire_header_nibbles(h);
+  const lora::Header h = wire_header(16, 2, true);
+  const auto good = wire().header_nibbles(h);
   for (unsigned i = 0; i < 3; ++i) {
     for (unsigned bit = 0; bit < 4; ++bit) {
       auto bad = good;
       bad[i] ^= static_cast<std::uint8_t>(1u << bit);
-      const auto parsed = parse_wire_header(bad);
+      const auto parsed = wire().parse_header(bad);
       if (parsed.has_value()) {
         // A flip may still parse only if it lands on another valid header;
         // it must not parse back to the original fields.
@@ -212,12 +268,12 @@ TEST(WireHeaderNibbles, ChecksumCatchesSingleNibbleCorruption) {
 }
 
 TEST(WireHeaderNibbles, RejectsZeroLengthAndBadCr) {
-  WireHeader h{0, 2, true};
-  EXPECT_FALSE(parse_wire_header(wire_header_nibbles(h)).has_value());
+  const lora::Header h = wire_header(0, 2, true);
+  EXPECT_FALSE(wire().parse_header(wire().header_nibbles(h)).has_value());
   // CR 0 and CR >= 5 encode but must not parse.
   for (unsigned cr : {0u, 5u, 6u, 7u}) {
-    WireHeader b{16, static_cast<std::uint8_t>(cr), true};
-    EXPECT_FALSE(parse_wire_header(wire_header_nibbles(b)).has_value());
+    const lora::Header b = wire_header(16, cr, true);
+    EXPECT_FALSE(wire().parse_header(wire().header_nibbles(b)).has_value());
   }
 }
 
@@ -225,9 +281,10 @@ TEST(WireHeaderNibbles, RejectsZeroLengthAndBadCr) {
 
 /// Encode app bytes and decode them back through the codec alone (clean
 /// channel: the demodulated bin equals the transmitted shift).
-void codec_roundtrip(const rx::CodecConfig& cfg, std::size_t app_len,
+void codec_roundtrip(rx::CodecConfig cfg, std::size_t app_len,
                      std::uint64_t seed) {
-  const WireCodec codec(cfg);
+  cfg.coding = Coding::kWire;
+  const rx::FrameCodec codec(cfg);
   Rng rng(seed);
   std::vector<std::uint8_t> app(app_len);
   for (auto& b : app) b = static_cast<std::uint8_t>(rng.uniform_index(256));
@@ -312,7 +369,8 @@ TEST(WireCodecFrame, CorruptedBinRejectedOrCorrected) {
   // error, corrected by the nearest-codeword decode.
   rx::CodecConfig cfg;
   cfg.params = lora::Params{.sf = 8, .cr = 4};
-  const WireCodec codec(cfg);
+  cfg.coding = Coding::kWire;
+  const rx::FrameCodec codec(cfg);
   Rng rng(21);
   std::vector<std::uint8_t> app(14);
   for (auto& b : app) b = static_cast<std::uint8_t>(rng.uniform_index(256));
@@ -333,7 +391,8 @@ TEST(WireCodecFrame, CrcArbitratesGarbage) {
   // positives on noise, within this seed).
   rx::CodecConfig cfg;
   cfg.params = lora::Params{.sf = 8, .cr = 2};
-  const WireCodec codec(cfg);
+  cfg.coding = Coding::kWire;
+  const rx::FrameCodec codec(cfg);
   Rng rng(31);
   lora::Header h{.payload_len = 16, .cr = 2, .has_crc = true};
   std::vector<std::uint32_t> bins(8 + codec.payload_symbols(h));
@@ -345,7 +404,8 @@ TEST(WireCodecFrame, CrcArbitratesGarbage) {
 TEST(WireCodecFrame, PeekMatchesLayout) {
   rx::CodecConfig cfg;
   cfg.params = lora::Params{.sf = 9, .cr = 3};
-  const WireCodec codec(cfg);
+  cfg.coding = Coding::kWire;
+  const rx::FrameCodec codec(cfg);
   std::vector<std::uint8_t> app(23);
   std::iota(app.begin(), app.end(), 0);
   const auto shifts = codec.encode_shifts(app);
@@ -355,32 +415,28 @@ TEST(WireCodecFrame, PeekMatchesLayout) {
   EXPECT_EQ(*peeked, shifts.size());
 }
 
-// ------------------------------------------------------------- WireModulator
+// ------------------------------------------------------- wire-frame synthesis
 
 TEST(WireModulatorTest, SampleCountMatchesFrameSymbols) {
   const lora::Params p{.sf = 7, .cr = 1};
-  const WireModulator wmod(p);
+  const lora::Modulator mod(p);
   const std::vector<std::uint8_t> app(14, 0xA5);
-  EXPECT_EQ(wmod.shifts(app).size(), wmod.frame_symbols(app.size()));
-  const auto iq = wmod.synthesize(app);
-  EXPECT_EQ(iq.size(), wmod.packet_samples(app.size()));
+  const auto shifts = lora::encode_frame(Coding::kWire, p, app);
+  EXPECT_EQ(shifts.size(), lora::frame_symbols(Coding::kWire, p, app.size()));
+  const auto iq = mod.synthesize_shifts(shifts);
+  EXPECT_EQ(iq.size(), mod.packet_samples(shifts.size()));
 }
 
 // --------------------------------------------------------------- end-to-end
 
 sim::Trace wire_trace(const lora::Params& p, bool implicit, double load,
                       std::uint64_t seed) {
-  std::optional<rx::ImplicitHeader> ih;
-  if (implicit) ih = rx::ImplicitHeader{16, static_cast<std::uint8_t>(p.cr)};
-  const auto wmod = std::make_shared<WireModulator>(p, ih);
   sim::TraceOptions opt;
   opt.duration_s = 1.5;
   opt.load_pps = load;
   opt.nodes = {{1, 15.0, 500.0}, {2, 12.0, -800.0}, {3, 18.0, 1500.0}};
   opt.implicit_header = implicit;
-  opt.shift_encoder = [wmod](std::span<const std::uint8_t> app) {
-    return wmod->shifts(app);
-  };
+  opt.coding = Coding::kWire;
   Rng rng(seed);
   return sim::build_trace(p, opt, rng);
 }
@@ -389,7 +445,7 @@ TEST(WireEndToEnd, ReceiverDecodesWireFrames) {
   const lora::Params p{.sf = 8, .cr = 4};
   const sim::Trace trace = wire_trace(p, /*implicit=*/false, 4.0, 17);
   rx::ReceiverOptions ropt;
-  ropt.codec_factory = wire_codec_factory();
+  ropt.coding = Coding::kWire;
   const rx::Receiver rxr(p, ropt);
   Rng rng(7);
   rx::ReceiverStats stats;
@@ -415,7 +471,7 @@ TEST(WireEndToEnd, ReceiverDecodesImplicitWireFrames) {
   const lora::Params p{.sf = 7, .cr = 2};
   const sim::Trace trace = wire_trace(p, /*implicit=*/true, 3.0, 29);
   rx::ReceiverOptions ropt;
-  ropt.codec_factory = wire_codec_factory();
+  ropt.coding = Coding::kWire;
   ropt.implicit_header = rx::ImplicitHeader{16, 2};
   const rx::Receiver rxr(p, ropt);
   Rng rng(7);
@@ -432,7 +488,7 @@ TEST(WireEndToEnd, StreamingReceiverDecodesWireFrames) {
   const lora::Params p{.sf = 8, .cr = 4};
   const sim::Trace trace = wire_trace(p, /*implicit=*/false, 4.0, 17);
   rx::ReceiverOptions ropt;
-  ropt.codec_factory = wire_codec_factory();
+  ropt.coding = Coding::kWire;
   stream::StreamingReceiver srx(p, ropt);
   std::size_t emitted = 0;
   srx.set_packet_callback([&](const sim::DecodedPacket& pkt) {

@@ -1,7 +1,8 @@
 // Pinned wire-format reference vectors: tests/vectors/wire_vectors.txt is
 // produced by the independent Python implementation in gen_wire_vectors.py,
-// so WireCodec and the generator can only agree by implementing the same
-// gr-lora-sdr conventions. Each record is checked both ways — encode_shifts
+// so the codec's wire table and the generator can only agree by
+// implementing the same gr-lora-sdr conventions. Each record is checked
+// both ways — encode_shifts
 // must reproduce the pinned shifts bit-exactly, and decoding the pinned
 // shifts must recover the pinned payload bit-exactly.
 #include <gtest/gtest.h>
@@ -13,7 +14,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "wire/wire_codec.hpp"
+#include "core/frame_codec.hpp"
 
 namespace {
 
@@ -66,6 +67,7 @@ std::vector<Vector> load_vectors(const std::string& path) {
 rx::CodecConfig config_for(const Vector& v) {
   rx::CodecConfig cfg;
   cfg.params = lora::Params{.sf = v.sf, .cr = v.cr, .ldro = v.ldro};
+  cfg.coding = lora::Coding::kWire;
   if (v.implicit) {
     cfg.implicit_header = rx::ImplicitHeader{
         static_cast<std::uint8_t>(v.payload.size() + 2),
@@ -80,7 +82,7 @@ TEST(WireGolden, EncodeMatchesReference) {
   for (const auto& v : vectors) {
     SCOPED_TRACE("sf=" + std::to_string(v.sf) + " cr=" + std::to_string(v.cr) +
                  (v.implicit ? " implicit" : "") + (v.ldro ? " ldro" : ""));
-    const wire::WireCodec codec(config_for(v));
+    const rx::FrameCodec codec(config_for(v));
     EXPECT_EQ(codec.encode_shifts(v.payload), v.shifts);
   }
 }
@@ -91,7 +93,7 @@ TEST(WireGolden, DecodeMatchesReference) {
   for (const auto& v : vectors) {
     SCOPED_TRACE("sf=" + std::to_string(v.sf) + " cr=" + std::to_string(v.cr) +
                  (v.implicit ? " implicit" : "") + (v.ldro ? " ldro" : ""));
-    const wire::WireCodec codec(config_for(v));
+    const rx::FrameCodec codec(config_for(v));
     lora::Header h;
     if (v.implicit) {
       const auto ih = codec.implicit_header();

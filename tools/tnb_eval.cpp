@@ -15,7 +15,7 @@
 // and are rejected here; apply them at synthesis with tnb_gen --impair.
 // --impair-seed (default 1) seeds the chain's own RNG.
 //
-// --wire-format decodes with the gr-lora-sdr wire convention (tnb::wire)
+// --wire-format decodes with the gr-lora-sdr wire format (lora::Coding::kWire)
 // instead of the paper frame format — for corpora written by
 // tnb_gen --wire-format. Orthogonal to --scheme: every scheme keeps its
 // assigner/sync/decoder, only the frame coding changes.
@@ -46,7 +46,6 @@
 #include "sim/ground_truth.hpp"
 #include "sim/metrics.hpp"
 #include "sim/trace_io.hpp"
-#include "wire/wire_codec.hpp"
 
 namespace {
 
@@ -203,7 +202,7 @@ int main(int argc, char** argv) {
     }
     rx::Receiver receiver = base::make_receiver(
         schemes[i], params, implicit,
-        wire_format ? wire::wire_codec_factory() : rx::CodecFactory{});
+        wire_format ? lora::Coding::kWire : lora::Coding::kPaper);
     Rng rng(7);
     const auto decoded =
         receiver.decode_multi(trace.antenna_spans(), rng, &rows[i].stats);

@@ -9,7 +9,7 @@
 //           [--duty-cycle FRAC] [--sf-dist LIST]
 //
 // --wire-format encodes every packet with the gr-lora-sdr wire convention
-// (tnb::wire — whitening, CR 4/5..4/8 Hamming, diagonal interleaving,
+// (lora::Coding::kWire: whitening, CR 4/5..4/8 Hamming, diagonal interleaving,
 // explicit header + CRC16) instead of the paper format; decode the result
 // with tnb_streamd/tnb_eval --wire-format. --bw selects the LoRa bandwidth
 // in kHz (125, 250 or 500; default 125).
@@ -53,7 +53,6 @@
 #include "sim/ground_truth.hpp"
 #include "sim/trace_builder.hpp"
 #include "sim/trace_io.hpp"
-#include "wire/wire_modulator.hpp"
 
 namespace {
 
@@ -184,18 +183,7 @@ int main(int argc, char** argv) {
   opt.implicit_header = implicit;
   opt.traffic = traffic;
   opt.impairments = impairments;
-  if (wire_format) {
-    std::optional<rx::ImplicitHeader> ih;
-    if (implicit) {
-      ih = rx::ImplicitHeader{
-          static_cast<std::uint8_t>(opt.app_payload_bytes + 2),
-          static_cast<std::uint8_t>(params.cr)};
-    }
-    const auto wmod = std::make_shared<wire::WireModulator>(params, ih);
-    opt.shift_encoder = [wmod](std::span<const std::uint8_t> app) {
-      return wmod->shifts(app);
-    };
-  }
+  if (wire_format) opt.coding = lora::Coding::kWire;
 
   if (n_channels > 1) {
     if (antennas != 1) {

@@ -18,7 +18,7 @@
 // Single-channel only: the wideband composite of --channels N runs at a
 // different rate than the per-channel chain models.
 //
-// --wire-format decodes with the gr-lora-sdr wire convention (tnb::wire)
+// --wire-format decodes with the gr-lora-sdr wire format (lora::Coding::kWire)
 // instead of the paper frame format — the counterpart of tnb_gen
 // --wire-format, and what real gateway captures use. It composes with the
 // fleet flags (every lane gets a wire codec) and with --implicit-len.
@@ -74,7 +74,6 @@
 #include "sim/trace_builder.hpp"
 #include "stream/impaired_source.hpp"
 #include "stream/streaming_receiver.hpp"
-#include "wire/wire_codec.hpp"
 
 namespace {
 
@@ -208,7 +207,7 @@ int main(int argc, char** argv) {
         rx::ImplicitHeader{static_cast<std::uint8_t>(implicit_len),
                            static_cast<std::uint8_t>(params.cr)};
   }
-  if (wire_format) ropt.codec_factory = wire::wire_codec_factory();
+  if (wire_format) ropt.coding = lora::Coding::kWire;
   sopt.keep_packets = false;  // a daemon must not grow with uptime
 
   const double fs = params.sample_rate_hz();   // channel rate
