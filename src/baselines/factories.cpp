@@ -1,5 +1,6 @@
 #include "baselines/factories.hpp"
 
+#include <iterator>
 #include <stdexcept>
 
 #include "baselines/aligntrack.hpp"
@@ -10,24 +11,64 @@
 #include "baselines/lzn_sync.hpp"
 
 namespace tnb::base {
+namespace {
 
-std::string scheme_name(Scheme s) {
-  switch (s) {
-    case Scheme::kTnB: return "TnB";
-    case Scheme::kThrive: return "Thrive";
-    case Scheme::kSibling: return "Sibling";
-    case Scheme::kLoRaPhy: return "LoRaPHY";
-    case Scheme::kCic: return "CIC";
-    case Scheme::kCicBec: return "CIC+";
-    case Scheme::kAlignTrack: return "AlignTrack*";
-    case Scheme::kAlignTrackBec: return "AlignTrack*+";
-    case Scheme::kCoRa: return "CoRa";
-    case Scheme::kCoRaBec: return "CoRa+";
-    case Scheme::kLZnThrive: return "LZn-Thrive";
-    case Scheme::kCoRaTnB: return "CoRa-TnB";
-  }
-  throw std::invalid_argument("scheme_name: unknown scheme");
+using AssignerCtor =
+    std::unique_ptr<rx::PeakAssigner> (*)(const lora::Params&);
+using SyncCtor = std::unique_ptr<rx::FrameSync> (*)(const lora::Params&);
+
+template <class T>
+std::unique_ptr<rx::PeakAssigner> assigner(const lora::Params& p) {
+  return std::make_unique<T>(p);
 }
+
+template <class T>
+std::unique_ptr<rx::FrameSync> front_end(const lora::Params& p) {
+  return std::make_unique<T>(p);
+}
+
+struct SchemeRow {
+  const char* name;  ///< as in the paper's figures
+  bool use_bec;
+  bool two_pass;
+  bool use_history;
+  AssignerCtor assigner;  ///< nullptr: the receiver's default, Thrive
+  SyncCtor sync;          ///< nullptr: the built-in Detector + FracSync
+};
+
+// One row per Scheme, in enum order: the row index is the enum value, and
+// the benches seed each scheme's Rng from it.
+// clang-format off
+constexpr SchemeRow kSchemes[] = {
+    // name           bec    2-pass history assigner                   sync
+    {"TnB",           true,  true,  true,  nullptr,                   nullptr},
+    {"Thrive",        false, true,  true,  nullptr,                   nullptr},
+    {"Sibling",       false, true,  false, nullptr,                   nullptr},
+    {"LoRaPHY",       false, false, true,  assigner<ArgmaxAssigner>,  nullptr},
+    {"CIC",           false, true,  true,  assigner<CicAssigner>,     nullptr},
+    {"CIC+",          true,  true,  true,  assigner<CicAssigner>,     nullptr},
+    {"AlignTrack*",   false, true,  true,  assigner<AlignTrackStar>,  nullptr},
+    {"AlignTrack*+",  true,  true,  true,  assigner<AlignTrackStar>,  nullptr},
+    {"CoRa",          false, true,  true,  assigner<CoRaDetector>,    nullptr},
+    {"CoRa+",         true,  true,  true,  assigner<CoRaDetector>,    nullptr},
+    {"LZn-Thrive",    false, true,  true,  nullptr, front_end<LZnSync>},
+    {"CoRa-TnB",      true,  true,  true,  assigner<HybridAssigner>,  nullptr},
+};
+// clang-format on
+static_assert(std::size(kSchemes) ==
+              static_cast<std::size_t>(Scheme::kCoRaTnB) + 1);
+
+const SchemeRow& row(Scheme s) {
+  const auto i = static_cast<std::size_t>(s);
+  if (i >= std::size(kSchemes)) {
+    throw std::invalid_argument("base: unknown scheme");
+  }
+  return kSchemes[i];
+}
+
+}  // namespace
+
+std::string scheme_name(Scheme s) { return row(s).name; }
 
 std::string scheme_cli_name(Scheme s) {
   std::string token;
@@ -55,91 +96,32 @@ std::string scheme_cli_list() {
   return list;
 }
 
-bool scheme_uses_custom_sync(Scheme s) {
-  return s == Scheme::kLZnThrive;
-}
+bool scheme_uses_custom_sync(Scheme s) { return row(s).sync != nullptr; }
 
 std::vector<Scheme> all_schemes() {
-  return {Scheme::kTnB,        Scheme::kThrive,
-          Scheme::kSibling,    Scheme::kLoRaPhy,
-          Scheme::kCic,        Scheme::kCicBec,
-          Scheme::kAlignTrack, Scheme::kAlignTrackBec,
-          Scheme::kCoRa,       Scheme::kCoRaBec,
-          Scheme::kLZnThrive,  Scheme::kCoRaTnB};
+  std::vector<Scheme> out;
+  for (std::size_t i = 0; i < std::size(kSchemes); ++i) {
+    out.push_back(static_cast<Scheme>(i));
+  }
+  return out;
 }
 
 rx::Receiver make_receiver(Scheme s, const lora::Params& p,
                            std::optional<rx::ImplicitHeader> implicit,
                            lora::Coding coding) {
+  const SchemeRow& r = row(s);
   rx::ReceiverOptions opt;
+  opt.use_bec = r.use_bec;
+  opt.two_pass = r.two_pass;
+  opt.use_history = r.use_history;
   opt.implicit_header = implicit;
   opt.coding = coding;
-  switch (s) {
-    case Scheme::kTnB:
-      break;  // defaults: Thrive + history + BEC + two passes
-    case Scheme::kThrive:
-      opt.use_bec = false;
-      break;
-    case Scheme::kSibling:
-      opt.use_bec = false;
-      opt.use_history = false;
-      break;
-    case Scheme::kLoRaPhy:
-      opt.use_bec = false;
-      opt.two_pass = false;
-      break;
-    case Scheme::kCic:
-      opt.use_bec = false;
-      break;
-    case Scheme::kCicBec:
-      break;
-    case Scheme::kAlignTrack:
-      opt.use_bec = false;
-      break;
-    case Scheme::kAlignTrackBec:
-      break;
-    case Scheme::kCoRa:
-      opt.use_bec = false;
-      break;
-    case Scheme::kCoRaBec:
-      break;
-    case Scheme::kLZnThrive:
-      opt.use_bec = false;
-      break;
-    case Scheme::kCoRaTnB:
-      break;  // BEC + two passes, like TnB
-  }
   rx::Receiver receiver(p, opt);
-  switch (s) {
-    case Scheme::kLoRaPhy:
-      receiver.set_assigner_factory(
-          [p]() { return std::make_unique<ArgmaxAssigner>(p); });
-      break;
-    case Scheme::kCic:
-    case Scheme::kCicBec:
-      receiver.set_assigner_factory(
-          [p]() { return std::make_unique<CicAssigner>(p); });
-      break;
-    case Scheme::kAlignTrack:
-    case Scheme::kAlignTrackBec:
-      receiver.set_assigner_factory(
-          [p]() { return std::make_unique<AlignTrackStar>(p); });
-      break;
-    case Scheme::kCoRa:
-    case Scheme::kCoRaBec:
-      receiver.set_assigner_factory(
-          [p]() { return std::make_unique<CoRaDetector>(p); });
-      break;
-    case Scheme::kCoRaTnB:
-      receiver.set_assigner_factory(
-          [p]() { return std::make_unique<HybridAssigner>(p); });
-      break;
-    default:
-      break;  // Thrive family uses the receiver's default factory
+  if (r.assigner != nullptr) {
+    receiver.set_assigner_factory([p, make = r.assigner] { return make(p); });
   }
-  if (scheme_uses_custom_sync(s)) {
-    receiver.set_sync_factory(
-        [p]() { return std::make_unique<LZnSync>(p); });
+  if (r.sync != nullptr) {
+    receiver.set_sync_factory([p, make = r.sync] { return make(p); });
   }
   return receiver;
 }

@@ -1,13 +1,15 @@
 // Preconfigured receivers for every scheme in the paper's evaluation
-// (Section 8.2 and 8.5) plus the related-work peers and hybrids of ISSUE 7:
-// TnB, Thrive (TnB without BEC), Sibling (Thrive without the history cost),
+// (Section 8.2 and 8.5) plus the related-work peers and hybrids: TnB,
+// Thrive (TnB without BEC), Sibling (Thrive without the history cost),
 // LoRaPHY, CIC, CIC+BEC, AlignTrack*, AlignTrack*+BEC, CoRa, CoRa+BEC,
 // LZn-Thrive (LZn-style sync front end feeding Thrive) and CoRa-TnB (CoRa
 // first pass, Thrive arbitrating low-confidence symbols, BEC). All share
 // the same checking-point machinery, differing only in the peak assigner,
 // the synchronization front end and the error-correction decoder —
 // mirroring how the paper lends its packet detection to the compared
-// schemes so the comparison isolates the algorithms.
+// schemes so the comparison isolates the algorithms. Each scheme is one
+// row of a table in factories.cpp: its paper name, the use_bec, two_pass
+// and use_history switches, and its assigner and sync front end.
 #pragma once
 
 #include <optional>

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "lora/coding.hpp"
 #include "lora/modulator.hpp"
 
 namespace tnb::base {
@@ -13,13 +12,13 @@ SicDecoder::SicDecoder(lora::Params p, SicOptions opt)
 }
 
 void SicDecoder::cancel(IqBuffer& work, const sim::DecodedPacket& pkt,
-                        double cfo_hz) const {
-  const auto shifts = lora::encode_frame(lora::Coding::kPaper, p_, pkt.payload);
+                        const rx::FrameCodec& codec) const {
+  const auto shifts = codec.encode_shifts(pkt.payload);
   const lora::Modulator mod(p_);
   lora::WaveformOptions wopt;
   const double start_floor = std::floor(pkt.start_sample);
   wopt.frac_delay = pkt.start_sample - start_floor;
-  wopt.cfo_hz = cfo_hz;
+  wopt.cfo_hz = pkt.cfo_hz;
   const IqBuffer ref = mod.synthesize_shifts(shifts, wopt);
 
   const std::ptrdiff_t t0 = static_cast<std::ptrdiff_t>(start_floor);
@@ -69,7 +68,7 @@ std::vector<sim::DecodedPacket> SicDecoder::decode(
       }
       if (dup) continue;
       out.push_back(pkt);
-      cancel(work, pkt, pkt.cfo_hz);
+      cancel(work, pkt, vanilla.codec());
       ++fresh;
     }
     if (fresh == 0) break;  // residual yields nothing new

@@ -2,12 +2,13 @@
 // al., ICNP 2019) — an extension baseline beyond the paper's evaluation
 // set (its related work, Section 2).
 //
-// Rounds: detect packets, decode the strongest one the vanilla way
-// (per-symbol argmax + default Hamming decoding), re-synthesize its
-// waveform from the decoded bits, estimate a per-symbol complex gain by
-// correlation, subtract, and repeat on the residual. Works when packets
-// are separable by power ordering; degrades when powers are comparable —
-// the weakness that motivates joint approaches like TnB.
+// Rounds: decode the trace with Thrive and the default Hamming decoder
+// (no BEC, no second pass), re-encode every newly decoded packet in the
+// round receiver's frame format, re-synthesize its waveform, estimate a
+// per-symbol complex gain by correlation, subtract, and repeat on the
+// residual. Works when packets are separable by power ordering; degrades
+// when powers are comparable — the weakness that motivates joint
+// approaches like TnB.
 #pragma once
 
 #include <span>
@@ -20,7 +21,9 @@ namespace tnb::base {
 
 struct SicOptions {
   int max_rounds = 6;      ///< cancellation rounds (packets decoded)
-  rx::ReceiverOptions vanilla;  ///< per-round decoder configuration
+  /// Per-round decoder configuration; its coding and implicit header are
+  /// also the frame format cancellation re-encodes with.
+  rx::ReceiverOptions vanilla;
 
   SicOptions() {
     vanilla.use_bec = false;
@@ -39,11 +42,11 @@ class SicDecoder {
 
  private:
   /// Subtracts the reconstructed waveform of a decoded packet from `work`.
-  /// The packet's symbols are re-encoded from `app_payload`; the complex
-  /// gain is estimated per symbol by correlating `work` against the
-  /// unit-amplitude reference.
+  /// The packet's symbols are re-encoded from its payload by `codec`; the
+  /// complex gain is estimated per symbol by correlating `work` against
+  /// the unit-amplitude reference.
   void cancel(IqBuffer& work, const sim::DecodedPacket& pkt,
-              double cfo_hz) const;
+              const rx::FrameCodec& codec) const;
 
   lora::Params p_;
   SicOptions opt_;

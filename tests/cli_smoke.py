@@ -1,0 +1,91 @@
+#!/usr/bin/env python3
+"""ctest cli_smoke: the command-line contract of tnb_gen, tnb_eval and
+tnb_streamd.
+
+    python3 cli_smoke.py TNB_GEN TNB_EVAL TNB_STREAMD WORKDIR
+
+--help exits 0 with the usage on stdout (tnb_eval's lists every scheme);
+each bad value exits 2 with "<tool>: <flag>:" on stderr; the unknown-scheme
+and unknown-backend messages keep the text CI greps for; and a tiny
+gen -> eval -> streamd round trip still decodes.
+"""
+import os
+import subprocess
+import sys
+
+failures = []
+
+
+def run(cmd):
+    return subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+
+
+def expect(ok, what, r=None):
+    if not ok:
+        detail = f" (exit {r.returncode}, stderr {r.stderr.strip()!r})" if r else ""
+        failures.append(what + detail)
+
+
+def main():
+    gen, ev, sd, workdir = sys.argv[1:5]
+    os.makedirs(workdir, exist_ok=True)
+    prefix = os.path.join(workdir, "trace")
+    trace = prefix + ".bin"
+
+    for tool in (gen, ev, sd):
+        name = os.path.basename(tool)
+        r = run([tool, "--help"])
+        expect(r.returncode == 0 and r.stdout.startswith("usage: " + name)
+               and r.stderr == "", f"{name} --help", r)
+    r = run([ev, "--help"])
+    for scheme in ("tnb", "loraphy", "aligntrack+", "cora-tnb", "lzn-thrive",
+                   "sic", "all"):
+        expect(scheme in r.stdout, f"tnb_eval --help lacks scheme {scheme}")
+
+    r = run([gen, "--out", prefix, "--sf", "7", "--duration", "0.6",
+             "--load", "8", "--seed", "3"])
+    expect(r.returncode == 0, "tnb_gen round trip", r)
+    r = run([ev, "--in", prefix, "--sf", "7", "--scheme", "tnb"])
+    row = [l.split() for l in r.stdout.splitlines() if l.startswith("TnB ")]
+    expect(r.returncode == 0 and row and not row[0][1].startswith("0/"),
+           "tnb_eval round trip decodes", r)
+    r = run([sd, "--sf", "7", "--in", trace])
+    expect(r.returncode == 0 and "\npkt " in "\n" + r.stdout,
+           "tnb_streamd round trip decodes", r)
+
+    bad = [
+        (gen, ["--out", prefix, "--sf", "13"], "--sf"),
+        (gen, ["--out", prefix, "--sf", "abc"], "--sf"),
+        (gen, ["--out", prefix, "--load", "abc"], "--load"),
+        (ev, ["--in", prefix, "--sf", "13"], "--sf"),
+        (ev, ["--in", prefix, "--sf", "abc"], "--sf"),
+        (ev, ["--in", prefix, "--implicit-len", "272"], "--implicit-len"),
+        (ev, ["--in", prefix, "--implicit-len", "-5"], "--implicit-len"),
+        (sd, ["--in", trace, "--sf", "13"], "--sf"),
+        (sd, ["--in", trace, "--sf", "abc"], "--sf"),
+        (sd, ["--in", trace, "--implicit-len", "272"], "--implicit-len"),
+        (sd, ["--in", trace, "--implicit-len", "-5"], "--implicit-len"),
+        (sd, ["--in", trace, "--chunk", "abc"], "--chunk"),
+    ]
+    for tool, args, flag in bad:
+        name = os.path.basename(tool)
+        r = run([tool] + args)
+        expect(r.returncode == 2 and f"{name}: {flag}:" in r.stderr,
+               f"{name} {' '.join(args[2:])}", r)
+
+    r = run([ev, "--in", prefix, "--sf", "7", "--scheme", "nope"])
+    expect(r.returncode == 2 and "unknown scheme 'nope'" in r.stderr
+           and "valid:" in r.stderr, "tnb_eval --scheme nope", r)
+    r = run([ev, "--in", prefix, "--fft-backend", "nope"])
+    expect(r.returncode == 2 and "unknown fft backend 'nope'" in r.stderr,
+           "tnb_eval --fft-backend nope", r)
+
+    for f in failures:
+        print("cli_smoke: FAIL " + f)
+    if failures:
+        sys.exit(1)
+    print("cli_smoke: ok")
+
+
+if __name__ == "__main__":
+    main()

@@ -52,6 +52,33 @@ TEST(Sic, CancellationRecoversWeakPacketUnderStrongOne) {
   EXPECT_EQ(s.false_packets, 0u);
 }
 
+TEST(Sic, CancelsInTheRoundReceiversFrameFormat) {
+  // The same power-separated collisions in the wire format and in
+  // implicit-header mode: the weak packets come out only when each strong
+  // one is re-encoded in the frame format the rounds decode.
+  const lora::Params p{.sf = 8, .cr = 4, .bandwidth_hz = 125e3, .osf = 8};
+  for (const bool wire : {true, false}) {
+    SCOPED_TRACE(wire ? "wire" : "implicit");
+    Rng rng(5);
+    sim::TraceOptions opt;
+    opt.duration_s = 1.5;
+    opt.load_pps = 10.0;
+    opt.nodes = {{1, 24.0, 1500.0}, {2, 12.0, -2600.0}};
+    opt.coding = wire ? lora::Coding::kWire : lora::Coding::kPaper;
+    opt.implicit_header = !wire;
+    const sim::Trace trace = sim::build_trace(p, opt, rng);
+
+    SicOptions sopt;
+    sopt.vanilla.coding = opt.coding;
+    if (!wire) sopt.vanilla.implicit_header = rx::ImplicitHeader{16, 4};
+    Rng rx_rng(4);
+    const auto result =
+        sim::evaluate(trace, SicDecoder(p, sopt).decode(trace.iq, rx_rng));
+    EXPECT_EQ(result.decoded_unique, result.transmitted);
+    EXPECT_EQ(result.false_packets, 0u);
+  }
+}
+
 TEST(Sic, StopsWhenResidualIsNoise) {
   const lora::Params p = sic_params();
   Rng rng(5);

@@ -1,12 +1,11 @@
 // tnb_eval — decode a trace corpus produced by tnb_gen and score every
-// scheme against the ground truth.
+// scheme against the ground truth. `tnb_eval --help` lists the flags.
 //
-//   tnb_eval --in PREFIX [--sf N] [--cr N] [--bw KHZ] [--osf N]
-//            [--scheme tnb|thrive|sibling|lorophy|cic|cic+|aligntrack|
-//                      aligntrack+|all]
-//            [--antennas N] [--implicit-len BYTES] [--jobs N]
-//            [--metrics-file FILE] [--wire-format]
-//            [--impair SPEC]... [--impair-seed N]
+// --scheme takes one scheme of base::all_schemes() (the paper's TnB,
+// Thrive, Sibling, LoRaPHY, CIC and AlignTrack* families plus the CoRa and
+// LZn peers; `tnb_eval --help` lists their tokens), `sic` (base::SicDecoder,
+// the mLoRa-style successive-cancellation extension, decoding antenna 0
+// only) or `all` (every registered scheme); the default is tnb.
 //
 // --impair degrades the trace before decoding with receiver-side
 // tnb::impair stages (iq_imbalance, quantize, clock_drift) or injects
@@ -18,7 +17,8 @@
 // --wire-format decodes with the gr-lora-sdr wire format (lora::Coding::kWire)
 // instead of the paper frame format — for corpora written by
 // tnb_gen --wire-format. Orthogonal to --scheme: every scheme keeps its
-// assigner/sync/decoder, only the frame coding changes.
+// assigner/sync/decoder, only the frame coding changes. --wire-format and
+// --implicit-len reach sic's cancellation rounds too.
 //
 // --jobs N (default: TNB_JOBS env var, else 1) decodes the schemes
 // concurrently; each scheme keeps its own RNG and stats, so the printed
@@ -29,8 +29,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <string>
@@ -38,6 +36,7 @@
 
 #include "baselines/factories.hpp"
 #include "baselines/sic.hpp"
+#include "cli.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "dsp/fft_backend.hpp"
@@ -47,90 +46,37 @@
 #include "sim/metrics.hpp"
 #include "sim/trace_io.hpp"
 
-namespace {
-
-[[noreturn]] void usage() {
-  // The scheme list comes from base::all_schemes() so a new scheme in the
-  // factory automatically shows up here (and in parse errors below).
-  std::fprintf(stderr,
-               "usage: tnb_eval --in PREFIX [--sf N] [--cr N] [--bw KHZ] "
-               "[--osf N] [--scheme NAME|all]\n"
-               "                [--antennas N] [--implicit-len BYTES] "
-               "[--jobs N]\n"
-               "                [--metrics-file FILE] [--wire-format] "
-               "[--fft-backend NAME]\n"
-               "                [--impair SPEC]... [--impair-seed N]\n"
-               "schemes: %s, sic, all\n"
-               "fft backends: %s (default: TNB_FFT_BACKEND env var, else "
-               "scalar)\n"
-               "impair specs (receiver-side): %s\n",
-               tnb::base::scheme_cli_list().c_str(),
-               tnb::dsp::fft_backend_names().c_str(),
-               tnb::impair::impairment_cli_help().c_str());
-  std::exit(2);
-}
-
-std::vector<tnb::base::Scheme> parse_schemes(const std::string& name) {
-  if (name == "all") return tnb::base::all_schemes();
-  if (const auto s = tnb::base::parse_scheme(name)) return {*s};
-  std::fprintf(stderr, "tnb_eval: unknown scheme '%s' (valid: %s, sic, all)\n",
-               name.c_str(), tnb::base::scheme_cli_list().c_str());
-  std::exit(2);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace tnb;
 
   std::string in, scheme = "tnb", metrics_file;
   lora::Params params{.sf = 8, .cr = 4, .bandwidth_hz = 125e3, .osf = 8};
   unsigned antennas = 1;
-  int implicit_len = 0;
-  bool wire_format = false;
+  std::uint8_t implicit_len = 0;
+  lora::Coding coding = lora::Coding::kPaper;
   int jobs = common::default_jobs();
   std::vector<impair::ImpairmentConfig> impairments;
   std::uint64_t impair_seed = 1;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) usage();
-      return argv[++i];
-    };
-    if (arg == "--in") in = value();
-    else if (arg == "--sf") params.sf = std::strtoul(value(), nullptr, 10);
-    else if (arg == "--cr") params.cr = std::strtoul(value(), nullptr, 10);
-    else if (arg == "--bw") params.bandwidth_hz = std::atof(value()) * 1e3;
-    else if (arg == "--osf") params.osf = std::strtoul(value(), nullptr, 10);
-    else if (arg == "--scheme") scheme = value();
-    else if (arg == "--antennas") antennas = std::strtoul(value(), nullptr, 10);
-    else if (arg == "--implicit-len") implicit_len = std::atoi(value());
-    else if (arg == "--wire-format") wire_format = true;
-    else if (arg == "--jobs") jobs = std::atoi(value());
-    else if (arg == "--impair") {
-      try {
-        impairments.push_back(impair::parse_impairment(value()));
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "tnb_eval: %s\n", e.what());
-        return 2;
-      }
-    }
-    else if (arg == "--impair-seed")
-      impair_seed = std::strtoull(value(), nullptr, 10);
-    else if (arg == "--metrics-file") metrics_file = value();
-    else if (arg == "--fft-backend") {
-      const char* name = value();
-      if (!dsp::set_fft_backend(name)) {
-        std::fprintf(stderr, "tnb_eval: unknown fft backend '%s' (valid: %s)\n",
-                     name, dsp::fft_backend_names().c_str());
-        return 2;
-      }
-    }
-    else usage();
+  const cli::Parser cli(
+      "tnb_eval",
+      {{"--in PREFIX", cli::text(in), true},
+       cli::sf(params), cli::cr(params), cli::bw(params), cli::osf(params),
+       // From the registry, so a new scheme shows up in --help and errors.
+       cli::one_of("--scheme NAME", scheme,
+                   base::scheme_cli_list() + ", sic, all"),
+       {"--antennas N", cli::number(antennas, 1u, 64u)},
+       cli::implicit_len(implicit_len),
+       {"--jobs N", cli::number(jobs, 1, 1024)},
+       {"--metrics-file FILE", cli::text(metrics_file)},
+       cli::wire_format(coding), cli::fft_backend(), cli::impair(impairments),
+       cli::impair_seed(impair_seed)});
+  if (const auto status = cli.run(argc, argv)) return *status;
+  std::optional<rx::ImplicitHeader> implicit;
+  if (implicit_len > 0) {
+    implicit = rx::ImplicitHeader{implicit_len,
+                                  static_cast<std::uint8_t>(params.cr)};
   }
-  if (in.empty()) usage();
-  if (jobs < 1) jobs = 1;
 
   // Installed before any receiver is constructed (handles resolve at
   // construction); all schemes and worker threads record into it.
@@ -171,7 +117,10 @@ int main(int argc, char** argv) {
               "false", "2nd-pass");
   if (scheme == "sic") {
     // Extension baseline (mLoRa-style), not part of the paper's set.
-    base::SicDecoder sic(params);
+    base::SicOptions sopt;
+    sopt.vanilla.coding = coding;
+    sopt.vanilla.implicit_header = implicit;
+    base::SicDecoder sic(params, sopt);
     Rng rng(7);
     const auto decoded = sic.decode(trace.iq, rng);
     const auto result = sim::evaluate(trace, decoded);
@@ -181,7 +130,9 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const std::vector<base::Scheme> schemes = parse_schemes(scheme);
+  const std::vector<base::Scheme> schemes =
+      scheme == "all" ? base::all_schemes()
+                      : std::vector{base::parse_scheme(scheme).value()};
   struct Row {
     sim::EvalResult result;
     rx::ReceiverStats stats;
@@ -195,14 +146,8 @@ int main(int argc, char** argv) {
   const auto t0 = std::chrono::steady_clock::now();
   common::parallel_for(schemes.size(), jobs, [&](std::size_t i) {
     const auto t_run = std::chrono::steady_clock::now();
-    std::optional<rx::ImplicitHeader> implicit;
-    if (implicit_len > 0) {
-      implicit = rx::ImplicitHeader{static_cast<std::uint8_t>(implicit_len),
-                                    static_cast<std::uint8_t>(params.cr)};
-    }
-    rx::Receiver receiver = base::make_receiver(
-        schemes[i], params, implicit,
-        wire_format ? lora::Coding::kWire : lora::Coding::kPaper);
+    rx::Receiver receiver =
+        base::make_receiver(schemes[i], params, implicit, coding);
     Rng rng(7);
     const auto decoded =
         receiver.decode_multi(trace.antenna_spans(), rng, &rows[i].stats);

@@ -1,18 +1,11 @@
 // tnb_gen — generate a LoRa trace corpus: raw int16 IQ plus a CSV ground
-// truth, in the paper artifact's trace format.
-//
-//   tnb_gen --out PREFIX [--deployment indoor|outdoor1|outdoor2|etu]
-//           [--sf N] [--cr N] [--bw KHZ] [--osf N] [--load PPS]
-//           [--duration S] [--seed N] [--antennas N]
-//           [--channel none|epa|eva|etu] [--channels N] [--implicit]
-//           [--wire-format] [--impair SPEC]... [--traffic NAME]
-//           [--duty-cycle FRAC] [--sf-dist LIST]
+// truth, in the paper artifact's trace format. `tnb_gen --help` lists the
+// flags.
 //
 // --wire-format encodes every packet with the gr-lora-sdr wire convention
 // (lora::Coding::kWire: whitening, CR 4/5..4/8 Hamming, diagonal interleaving,
 // explicit header + CRC16) instead of the paper format; decode the result
-// with tnb_streamd/tnb_eval --wire-format. --bw selects the LoRa bandwidth
-// in kHz (125, 250 or 500; default 125).
+// with tnb_streamd/tnb_eval --wire-format.
 //
 // --impair adds one hardware-impairment stage per flag, applied in flag
 // order inside the synthesizer (tnb::impair): e.g.
@@ -36,9 +29,8 @@
 // chosen value is printed (pass it to tnb_streamd --scale).
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <span>
@@ -47,50 +39,13 @@
 #include <vector>
 
 #include "channel/tdl.hpp"
+#include "cli.hpp"
 #include "common/rng.hpp"
 #include "fleet/channelizer.hpp"
 #include "sim/deployment.hpp"
 #include "sim/ground_truth.hpp"
 #include "sim/trace_builder.hpp"
 #include "sim/trace_io.hpp"
-
-namespace {
-
-[[noreturn]] void usage() {
-  std::fprintf(stderr,
-               "usage: tnb_gen --out PREFIX [--deployment NAME] [--sf N] "
-               "[--cr N] [--bw KHZ] [--osf N]\n"
-               "               [--load PPS] [--duration S] [--seed N] "
-               "[--antennas N]\n"
-               "               [--channel none|epa|eva|etu] [--channels N] "
-               "[--implicit] [--wire-format]\n"
-               "               [--impair SPEC]... [--traffic "
-               "poisson|bursty|diurnal] [--duty-cycle FRAC]\n"
-               "               [--sf-dist SF:W,SF:W,...]\n"
-               "impair specs: %s\n",
-               tnb::impair::impairment_cli_help().c_str());
-  std::exit(2);
-}
-
-/// Parses an --sf-dist list "7:0.5,8:0.3,9:0.2".
-std::vector<std::pair<unsigned, double>> parse_sf_dist(const char* spec) {
-  std::vector<std::pair<unsigned, double>> weights;
-  for (const char* p = spec; *p != '\0';) {
-    char* end = nullptr;
-    const unsigned long sf = std::strtoul(p, &end, 10);
-    if (end == p || *end != ':') usage();
-    p = end + 1;
-    const double w = std::strtod(p, &end);
-    if (end == p) usage();
-    weights.emplace_back(static_cast<unsigned>(sf), w);
-    p = *end == ',' ? end + 1 : end;
-    if (*end != ',' && *end != '\0') usage();
-  }
-  if (weights.empty()) usage();
-  return weights;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace tnb;
@@ -100,54 +55,53 @@ int main(int argc, char** argv) {
   double load = 10.0, duration = 2.0;
   std::uint64_t seed = 1;
   unsigned antennas = 1, n_channels = 1;
-  bool implicit = false, wire_format = false;
+  bool implicit = false;
+  lora::Coding coding = lora::Coding::kPaper;
   std::vector<impair::ImpairmentConfig> impairments;
   std::optional<sim::TrafficModel> traffic;
   double duty_cycle = 0.0;
   std::vector<std::pair<unsigned, double>> sf_dist;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) usage();
-      return argv[++i];
-    };
-    if (arg == "--out") out = value();
-    else if (arg == "--deployment") deployment = value();
-    else if (arg == "--sf") params.sf = std::strtoul(value(), nullptr, 10);
-    else if (arg == "--cr") params.cr = std::strtoul(value(), nullptr, 10);
-    else if (arg == "--bw") params.bandwidth_hz = std::atof(value()) * 1e3;
-    else if (arg == "--osf") params.osf = std::strtoul(value(), nullptr, 10);
-    else if (arg == "--load") load = std::atof(value());
-    else if (arg == "--duration") duration = std::atof(value());
-    else if (arg == "--seed") seed = std::strtoull(value(), nullptr, 10);
-    else if (arg == "--antennas") antennas = std::strtoul(value(), nullptr, 10);
-    else if (arg == "--channel") channel = value();
-    else if (arg == "--channels")
-      n_channels = std::strtoul(value(), nullptr, 10);
-    else if (arg == "--implicit") implicit = true;
-    else if (arg == "--wire-format") wire_format = true;
-    else if (arg == "--impair") {
-      try {
-        impairments.push_back(impair::parse_impairment(value()));
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "tnb_gen: %s\n", e.what());
-        return 2;
-      }
-    }
-    else if (arg == "--traffic") {
-      try {
-        traffic = sim::parse_traffic(value());
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "tnb_gen: %s\n", e.what());
-        return 2;
-      }
-    }
-    else if (arg == "--duty-cycle") duty_cycle = std::atof(value());
-    else if (arg == "--sf-dist") sf_dist = parse_sf_dist(value());
-    else usage();
-  }
-  if (out.empty()) usage();
+  const cli::Parser cli(
+      "tnb_gen",
+      {{"--out PREFIX", cli::text(out), true},
+       cli::one_of("--deployment NAME", deployment,
+                   "indoor, outdoor1, outdoor2, etu"),
+       cli::sf(params), cli::cr(params), cli::bw(params), cli::osf(params),
+       {"--load PPS", cli::number(load, 0.0, 1e6)},
+       {"--duration S", cli::number(duration, 0.0, 1e6)},
+       {"--seed N", cli::number<std::uint64_t>(seed, 0, UINT64_MAX)},
+       {"--antennas N", cli::number(antennas, 1u, 64u)},
+       cli::one_of("--channel NAME", channel, "none, epa, eva, etu"),
+       {"--channels N", cli::number(n_channels, 1u, 1024u)},
+       {"--implicit", cli::set(implicit)}, cli::wire_format(coding),
+       cli::impair(impairments),
+       {"--traffic NAME",
+        [&](std::string_view v) -> std::string {
+          try {
+            traffic = sim::parse_traffic(std::string(v));
+          } catch (const std::exception& e) {
+            return e.what();
+          }
+          return {};
+        }},
+       {"--duty-cycle FRAC", cli::number(duty_cycle, 0.0, 1.0)},
+       {"--sf-dist SF:W,SF:W,...",
+        [&](std::string_view v) -> std::string {
+          std::vector<std::pair<unsigned, double>> weights;
+          for (std::string_view item : cli::split(v, ',')) {
+            const auto sf_w = cli::split(item, ':');
+            if (sf_w.size() != 2 ||
+                !cli::to_number(sf_w[0], weights.emplace_back().first) ||
+                !cli::to_number(sf_w[1], weights.back().second)) {
+              return "expected SF:W,SF:W,..., got '" + std::string(v) + "'";
+            }
+          }
+          sf_dist = std::move(weights);
+          return {};
+        }}});
+  if (const auto status = cli.run(argc, argv)) return *status;
+
   if (duty_cycle > 0.0 || !sf_dist.empty()) {
     if (!traffic.has_value()) traffic = sim::parse_traffic("poisson");
     traffic->duty_cycle = duty_cycle;
@@ -164,14 +118,12 @@ int main(int argc, char** argv) {
   if (deployment == "indoor") dep = sim::indoor_deployment();
   else if (deployment == "outdoor1") dep = sim::outdoor1_deployment();
   else if (deployment == "outdoor2") dep = sim::outdoor2_deployment();
-  else if (deployment == "etu") dep = sim::etu_deployment(params.sf);
-  else usage();
+  else dep = sim::etu_deployment(params.sf);
 
   std::unique_ptr<chan::TdlChannel> tdl;
   if (channel == "epa") tdl = std::make_unique<chan::TdlChannel>(chan::epa_profile(), 5.0);
   else if (channel == "eva") tdl = std::make_unique<chan::TdlChannel>(chan::eva_profile(), 5.0);
   else if (channel == "etu") tdl = std::make_unique<chan::TdlChannel>(chan::etu_profile(), 5.0);
-  else if (channel != "none") usage();
 
   Rng rng(seed);
   sim::TraceOptions opt;
@@ -183,7 +135,7 @@ int main(int argc, char** argv) {
   opt.implicit_header = implicit;
   opt.traffic = traffic;
   opt.impairments = impairments;
-  if (wire_format) opt.coding = lora::Coding::kWire;
+  opt.coding = coding;
 
   if (n_channels > 1) {
     if (antennas != 1) {

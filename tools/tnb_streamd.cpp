@@ -1,14 +1,6 @@
 // tnb_streamd — live gateway pipeline daemon: decode an int16 IQ stream
-// (file or stdin) continuously with bounded memory.
-//
-//   tnb_streamd [--in FILE] [--sf N] [--cr N] [--bw KHZ] [--osf N]
-//               [--scale S] [--chunk SAMPLES] [--window SYMBOLS]
-//               [--ring SAMPLES] [--stats-interval SECONDS]
-//               [--metrics-file FILE] [--metrics-history PREFIX]
-//               [--realtime] [--drop] [--implicit-len BYTES] [--seed N]
-//               [--quiet] [--wire-format]
-//               [--channels N] [--sfs LIST] [--lanes J] [--taps N]
-//               [--impair SPEC]... [--impair-seed N]
+// (file or stdin) continuously with bounded memory. `tnb_streamd --help`
+// lists the flags.
 //
 // --impair degrades the incoming stream before the ring with receiver-side
 // tnb::impair stages (iq_imbalance, quantize, clock_drift), in flag order,
@@ -22,7 +14,6 @@
 // instead of the paper frame format — the counterpart of tnb_gen
 // --wire-format, and what real gateway captures use. It composes with the
 // fleet flags (every lane gets a wire codec) and with --implicit-len.
-// --bw selects the LoRa bandwidth in kHz (125/250/500; default 125).
 //
 // --channels N > 1 switches to the gateway-fleet pipeline (tnb::fleet):
 // the input is an interleaved N-channel wideband stream at N x OSF x BW
@@ -55,9 +46,8 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <mutex>
@@ -66,6 +56,7 @@
 #include <thread>
 #include <vector>
 
+#include "cli.hpp"
 #include "dsp/fft_backend.hpp"
 #include "fleet/fleet.hpp"
 #include "impair/impairment.hpp"
@@ -76,26 +67,6 @@
 #include "stream/streaming_receiver.hpp"
 
 namespace {
-
-[[noreturn]] void usage() {
-  std::fprintf(stderr,
-               "usage: tnb_streamd [--in FILE|-] [--sf N] [--cr N] [--bw KHZ] "
-               "[--osf N] [--scale S]\n"
-               "                   [--chunk SAMPLES] [--window SYMBOLS] "
-               "[--ring SAMPLES]\n"
-               "                   [--stats-interval SECONDS] "
-               "[--metrics-file FILE]\n"
-               "                   [--metrics-history PREFIX] [--realtime] "
-               "[--drop]\n"
-               "                   [--implicit-len BYTES] [--seed N] "
-               "[--quiet] [--wire-format]\n"
-               "                   [--channels N] [--sfs LIST] [--lanes J] "
-               "[--taps N] [--fft-backend NAME]\n"
-               "                   [--impair SPEC]... [--impair-seed N]\n"
-               "impair specs (receiver-side): %s\n",
-               tnb::impair::impairment_cli_help().c_str());
-  std::exit(2);
-}
 
 // Shared between the main thread and the signal-watcher thread. Static
 // duration so the watcher can consult them even while main() is returning.
@@ -113,78 +84,41 @@ int main(int argc, char** argv) {
   double scale = 1024.0, stats_interval_s = 1.0;
   std::size_t chunk = 0, ring_capacity = 0;
   stream::StreamingOptions sopt;
-  bool realtime = false, drop = false, quiet = false, wire_format = false;
-  int implicit_len = 0;
+  bool realtime = false, drop = false, quiet = false;
+  lora::Coding coding = lora::Coding::kPaper;
+  std::uint8_t implicit_len = 0;
   unsigned n_channels = 1, taps = 1;
   int lanes = 1;
   std::vector<unsigned> fleet_sfs;
   std::vector<impair::ImpairmentConfig> impairments;
   std::uint64_t impair_seed = 1;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) usage();
-      return argv[++i];
-    };
-    if (arg == "--in") in = value();
-    else if (arg == "--sf") params.sf = std::strtoul(value(), nullptr, 10);
-    else if (arg == "--cr") params.cr = std::strtoul(value(), nullptr, 10);
-    else if (arg == "--bw") params.bandwidth_hz = std::atof(value()) * 1e3;
-    else if (arg == "--osf") params.osf = std::strtoul(value(), nullptr, 10);
-    else if (arg == "--scale") scale = std::atof(value());
-    else if (arg == "--chunk") chunk = std::strtoul(value(), nullptr, 10);
-    else if (arg == "--window")
-      sopt.window_symbols = std::strtoul(value(), nullptr, 10);
-    else if (arg == "--ring") ring_capacity = std::strtoul(value(), nullptr, 10);
-    else if (arg == "--stats-interval" || arg == "--stats-every")
-      stats_interval_s = std::atof(value());  // --stats-every: legacy alias
-    else if (arg == "--metrics-file") metrics_file = value();
-    else if (arg == "--metrics-history") metrics_history = value();
-    else if (arg == "--realtime") realtime = true;
-    else if (arg == "--drop") drop = true;
-    else if (arg == "--implicit-len") implicit_len = std::atoi(value());
-    else if (arg == "--seed") sopt.rng_seed = std::strtoull(value(), nullptr, 10);
-    else if (arg == "--quiet") quiet = true;
-    else if (arg == "--wire-format") wire_format = true;
-    else if (arg == "--channels")
-      n_channels = std::strtoul(value(), nullptr, 10);
-    else if (arg == "--sfs") {
-      // Comma-separated list, e.g. --sfs 7,8,9.
-      for (const char* p = value(); *p != '\0';) {
-        char* end = nullptr;
-        const unsigned long sf = std::strtoul(p, &end, 10);
-        if (end == p) usage();
-        fleet_sfs.push_back(static_cast<unsigned>(sf));
-        p = *end == ',' ? end + 1 : end;
-        if (*end != ',' && *end != '\0') usage();
-      }
-      if (fleet_sfs.empty()) usage();
-    }
-    else if (arg == "--lanes") lanes = std::atoi(value());
-    else if (arg == "--taps") taps = std::strtoul(value(), nullptr, 10);
-    else if (arg == "--impair") {
-      try {
-        impairments.push_back(impair::parse_impairment(value()));
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "tnb_streamd: %s\n", e.what());
-        return 2;
-      }
-    }
-    else if (arg == "--impair-seed")
-      impair_seed = std::strtoull(value(), nullptr, 10);
-    else if (arg == "--fft-backend") {
-      const char* name = value();
-      if (!dsp::set_fft_backend(name)) {
-        std::fprintf(stderr,
-                     "tnb_streamd: unknown fft backend '%s' (valid: %s)\n",
-                     name, dsp::fft_backend_names().c_str());
-        return 2;
-      }
-    }
-    else usage();
-  }
-  params.validate();
+  constexpr std::size_t kMaxSamples = std::size_t{1} << 30;
+  const cli::Reader read_stats = cli::number(stats_interval_s, 0.0, 1e9);
+  const cli::Parser cli(
+      "tnb_streamd",
+      {{"--in FILE|-", cli::text(in)},
+       cli::sf(params), cli::cr(params), cli::bw(params), cli::osf(params),
+       {"--scale S", cli::number(scale, 1e-6, 1e9)},
+       {"--chunk SAMPLES", cli::number(chunk, std::size_t{0}, kMaxSamples)},
+       {"--window SYMBOLS",
+        cli::number(sopt.window_symbols, std::size_t{0}, std::size_t{65536})},
+       {"--ring SAMPLES",
+        cli::number(ring_capacity, std::size_t{0}, kMaxSamples)},
+       {"--stats-interval SECONDS", read_stats},
+       {"--stats-every SECONDS", read_stats},  // legacy alias
+       {"--metrics-file FILE", cli::text(metrics_file)},
+       {"--metrics-history PREFIX", cli::text(metrics_history)},
+       {"--realtime", cli::set(realtime)}, {"--drop", cli::set(drop)},
+       cli::implicit_len(implicit_len),
+       {"--seed N", cli::number<std::uint64_t>(sopt.rng_seed, 0, UINT64_MAX)},
+       {"--quiet", cli::set(quiet)}, cli::wire_format(coding),
+       {"--channels N", cli::number(n_channels, 1u, 1024u)},
+       {"--sfs LIST", cli::numbers(fleet_sfs, 5, 12)},
+       {"--lanes J", cli::number(lanes, 0, 1024)},
+       {"--taps N", cli::number(taps, 1u, 32u)}, cli::fft_backend(),
+       cli::impair(impairments), cli::impair_seed(impair_seed)});
+  if (const auto status = cli.run(argc, argv)) return *status;
   const bool fleet_mode = n_channels > 1;
   if (!impairments.empty() && fleet_mode) {
     std::fprintf(stderr,
@@ -204,10 +138,9 @@ int main(int argc, char** argv) {
   rx::ReceiverOptions ropt;
   if (implicit_len > 0) {
     ropt.implicit_header =
-        rx::ImplicitHeader{static_cast<std::uint8_t>(implicit_len),
-                           static_cast<std::uint8_t>(params.cr)};
+        rx::ImplicitHeader{implicit_len, static_cast<std::uint8_t>(params.cr)};
   }
-  if (wire_format) ropt.coding = lora::Coding::kWire;
+  ropt.coding = coding;
   sopt.keep_packets = false;  // a daemon must not grow with uptime
 
   const double fs = params.sample_rate_hz();   // channel rate
