@@ -15,10 +15,10 @@
 // cell's trace (chunked StreamingReceiver, see bench/README.md) and adds
 // the aggregate samples/sec to the summary line.
 #include <cstdio>
-#include <cstring>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "cli.hpp"
 #include "stream/streaming_receiver.hpp"
 
 using namespace tnb;
@@ -43,13 +43,14 @@ struct CellResult {
 }  // namespace
 
 int main(int argc, char** argv) {
+  int jobs = common::default_jobs();
+  bool streaming = false;
+  const cli::Parser cli(
+      "bench_fig12_14_throughput",
+      {cli::jobs(jobs), {"--streaming", cli::set(streaming)}});
+  if (const auto status = cli.run(argc, argv)) return *status;
   bench::print_header("Figs. 12-14: throughput vs offered load",
                       "paper Figs. 12, 13, 14");
-  const int jobs = bench::parse_jobs(argc, argv);
-  bool streaming = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--streaming") == 0) streaming = true;
-  }
   const std::vector<base::Scheme> schemes = {
       base::Scheme::kTnB,       base::Scheme::kCic,
       base::Scheme::kAlignTrack, base::Scheme::kLoRaPhy,

@@ -8,13 +8,16 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "cli.hpp"
 
 using namespace tnb;
 
 int main(int argc, char** argv) {
+  int jobs = common::default_jobs();
+  const cli::Parser cli("bench_fig15_ablation", {cli::jobs(jobs)});
+  if (const auto status = cli.run(argc, argv)) return *status;
   bench::print_header("Fig. 15: evaluating the components of TnB",
                       "paper Fig. 15");
-  const int jobs = bench::parse_jobs(argc, argv);
   const std::vector<base::Scheme> schemes = {
       base::Scheme::kTnB,  base::Scheme::kThrive, base::Scheme::kSibling,
       base::Scheme::kCic,  base::Scheme::kCoRa,   base::Scheme::kCoRaTnB};

@@ -8,13 +8,16 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "cli.hpp"
 
 using namespace tnb;
 
 int main(int argc, char** argv) {
+  int jobs = common::default_jobs();
+  const cli::Parser cli("bench_fig17_prr_snr", {cli::jobs(jobs)});
+  if (const auto status = cli.run(argc, argv)) return *status;
   bench::print_header("Fig. 17: PRR at various SNR ranges, all schemes",
                       "paper Fig. 17");
-  const int jobs = bench::parse_jobs(argc, argv);
   const double load = bench::load_sweep().back();
   const double bucket = 10.0;
   const std::vector<base::Scheme> schemes = base::all_schemes();

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "cli.hpp"
 #include "impair/impairment.hpp"
 
 using namespace tnb;
@@ -33,10 +34,12 @@ struct Cell {
 }  // namespace
 
 int main(int argc, char** argv) {
+  int jobs = common::default_jobs();
+  const cli::Parser cli("bench_fig_impairments", {cli::jobs(jobs)});
+  if (const auto status = cli.run(argc, argv)) return *status;
   bench::print_header(
       "Impairments & traffic: PRR vs severity, all schemes",
       "extension (DESIGN.md section 15); not a paper figure");
-  const int jobs = bench::parse_jobs(argc, argv);
   const bool full = bench::full_mode();
   const double load = 10.0;
   const std::vector<base::Scheme> schemes = base::all_schemes();

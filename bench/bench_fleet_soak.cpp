@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "cli.hpp"
 #include "fleet/channelizer.hpp"
 #include "fleet/fleet.hpp"
 #include "stream/chunk_source.hpp"
@@ -48,7 +49,9 @@ double bench_seconds() {
 int main(int argc, char** argv) {
   using namespace tnb;
 
-  const int jobs = bench::parse_jobs(argc, argv);
+  int jobs = common::default_jobs();
+  const cli::Parser cli("bench_fleet_soak", {cli::jobs(jobs)});
+  if (const auto status = cli.run(argc, argv)) return *status;
   const unsigned n_channels = 8;
   const lora::Params params{.sf = 8, .cr = 4, .bandwidth_hz = 125e3,
                             .osf = 2};

@@ -8,7 +8,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -27,21 +26,6 @@ inline bool full_mode() {
   return v != nullptr && v[0] != '0';
 }
 
-/// Worker threads for a bench: `--jobs N` on the command line, else the
-/// TNB_JOBS environment variable, else 1. Benches fan independent
-/// (deployment, SF, CR, load, run) cells across common::parallel_for with
-/// results in pre-sized slots, so the printed numbers are identical for
-/// every jobs value (see bench/README.md "Parallel runs").
-inline int parse_jobs(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0) {
-      const int n = std::atoi(argv[i + 1]);
-      return n > 0 ? n : 1;
-    }
-  }
-  return common::default_jobs();
-}
-
 /// Monotonic wall-clock stopwatch for the per-run / per-bench timings.
 class WallTimer {
  public:
@@ -55,15 +39,6 @@ class WallTimer {
  private:
   std::chrono::steady_clock::time_point t0_;
 };
-
-/// One-line parallelism report, printed at the end of a parallel bench so
-/// the perf trajectory is visible in archived outputs: `seq_s` is the sum
-/// of per-cell wall clocks (the estimated --jobs 1 wall clock).
-inline void print_parallel_summary(std::size_t runs, int jobs, double wall_s,
-                                   double seq_s) {
-  std::printf("runs=%zu jobs=%d wall=%.2fs speedup=%.2fx\n", runs, jobs,
-              wall_s, wall_s > 0.0 ? seq_s / wall_s : 1.0);
-}
 
 /// RAII install of a bench-local tnb::obs registry as the process global,
 /// so receivers constructed by worker cells record pipeline stage timings
@@ -90,11 +65,11 @@ class ObsScope {
   obs::Registry registry_;
 };
 
-/// Histogram-based run report, replacing the single `wall=…s` scalar of
-/// print_parallel_summary (see bench/README.md "Histogram summaries"):
-/// a `runs=… jobs=… speedup=…` line (speedup from the cell-seconds
-/// histogram sum), then one `hist` line per histogram in the snapshot —
-/// per-cell wall clocks and the per-stage pipeline timings.
+/// Run report at the end of a parallel bench (see bench/README.md
+/// "Histogram summaries"): a `runs=… jobs=… speedup=…` line (speedup from
+/// the cell-seconds histogram sum, the estimated --jobs 1 wall clock),
+/// then one `hist` line per histogram in the snapshot — per-cell wall
+/// clocks and the per-stage pipeline timings.
 inline void print_obs_summary(const obs::Snapshot& snap, std::size_t runs,
                               int jobs, double wall_s,
                               double stream_sps = 0.0) {

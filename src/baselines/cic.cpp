@@ -12,10 +12,15 @@
 #include "lora/demodulator.hpp"
 
 namespace tnb::base {
+namespace {
 
-CicAssigner::CicAssigner(lora::Params p, CicOptions opt) : p_(p), opt_(opt) {
-  p_.validate();
-}
+/// Sub-windows shorter than sps/kMinSubwindowDiv get no vote (too little
+/// signal to resolve a peak).
+constexpr double kMinSubwindowDiv = 8.0;
+
+}  // namespace
+
+CicAssigner::CicAssigner(lora::Params p) : p_(p) { p_.validate(); }
 
 SignalVector CicAssigner::subwindow_spectrum(const rx::AssignInput& in,
                                              double w_start, double a,
@@ -62,7 +67,7 @@ std::vector<rx::Assignment> CicAssigner::assign(const rx::AssignInput& in) {
   const std::size_t n = p_.n_bins();
   const double nd = static_cast<double>(n);
   const double sps = static_cast<double>(p_.sps());
-  const double min_len = sps / static_cast<double>(opt_.min_subwindow_div);
+  const double min_len = sps / kMinSubwindowDiv;
 
   std::vector<rx::Assignment> out(in.symbols.size());
   std::vector<double> median_scratch;  // reused by every sub-window median

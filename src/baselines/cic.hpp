@@ -16,15 +16,9 @@
 
 namespace tnb::base {
 
-struct CicOptions {
-  /// Sub-windows shorter than sps/min_subwindow_div are merged into their
-  /// neighbour (too little signal to resolve a peak).
-  unsigned min_subwindow_div = 8;
-};
-
 class CicAssigner final : public rx::PeakAssigner {
  public:
-  explicit CicAssigner(lora::Params p, CicOptions opt = {});
+  explicit CicAssigner(lora::Params p);
 
   std::vector<rx::Assignment> assign(const rx::AssignInput& in) override;
 
@@ -35,7 +29,6 @@ class CicAssigner final : public rx::PeakAssigner {
                                   double a, double b, double cfo) const;
 
   lora::Params p_;
-  CicOptions opt_;
 };
 
 }  // namespace tnb::base

@@ -9,14 +9,27 @@
 namespace tnb::base {
 namespace {
 
+/// Peaks whose amplitude is within this relative error of the history
+/// expectation are protected from fragment elimination (they are
+/// plausibly the target even if a boundary could explain them).
+constexpr double kAmpTol = 0.3;
+/// A peak pair is a fragment pair if the two interferer-amplitude
+/// estimates a_p/f and a_q/(1-f) agree within this relative tolerance.
+constexpr double kFragmentTol = 0.25;
+/// Cyclic-bin distance to a masked (known-interference) location at
+/// which a peak is discarded, matching the CIC/AlignTrack convention.
+constexpr double kMaskTol = 1.5;
+/// Candidate peaks examined per symbol (height-sorted view peaks).
+constexpr std::size_t kMaxCandidates = 8;
+/// Boundary fractions closer than this to the window edge are ignored:
+/// the smaller fragment carries too little energy to show as a peak.
+constexpr double kMinBoundaryFrac = 0.04;
+
 double clamp01(double v) { return v < 0.0 ? 0.0 : (v > 1.0 ? 1.0 : v); }
 
 }  // namespace
 
-CoRaDetector::CoRaDetector(lora::Params p, CoRaOptions opt)
-    : p_(p), opt_(opt) {
-  p_.validate();
-}
+CoRaDetector::CoRaDetector(lora::Params p) : p_(p) { p_.validate(); }
 
 std::vector<rx::Assignment> CoRaDetector::assign(const rx::AssignInput& in) {
   std::vector<double> confidence;
@@ -53,10 +66,10 @@ std::vector<rx::Assignment> CoRaDetector::assign_with_confidence(
     };
     std::vector<Cand> cands;
     for (const dsp::Peak& pk : view.peaks) {
-      if (cands.size() >= opt_.max_candidates) break;
+      if (cands.size() >= kMaxCandidates) break;
       bool masked = false;
       for (double mb : masks) {
-        if (std::abs(wrap_half(pk.frac_index - mb, nd)) <= opt_.mask_tol) {
+        if (std::abs(wrap_half(pk.frac_index - mb, nd)) <= kMaskTol) {
           masked = true;
           break;
         }
@@ -97,9 +110,7 @@ std::vector<rx::Assignment> CoRaDetector::assign_with_confidence(
       if (b <= w) b += sps;
       if (b <= w || b >= w + sps) continue;
       const double f = (b - w) / sps;
-      if (f < opt_.min_boundary_frac || f > 1.0 - opt_.min_boundary_frac) {
-        continue;
-      }
+      if (f < kMinBoundaryFrac || f > 1.0 - kMinBoundaryFrac) continue;
       bool dup = false;
       for (double g : fracs) {
         if (std::abs(g - f) < 1e-6) {
@@ -122,10 +133,10 @@ std::vector<rx::Assignment> CoRaDetector::assign_with_confidence(
           const double a2 = cands[qi].amp / (1.0 - f);
           const double hi = std::max(a1, a2);
           if (hi <= 0.0) continue;
-          if (std::abs(a1 - a2) / hi > opt_.fragment_tol) continue;
+          if (std::abs(a1 - a2) / hi > kFragmentTol) continue;
           const auto protected_peak = [&](const Cand& c) {
             return expect > 0.0 &&
-                   std::abs(c.amp - expect) / expect <= opt_.amp_tol;
+                   std::abs(c.amp - expect) / expect <= kAmpTol;
           };
           if (!protected_peak(cands[pi])) cands[pi].fragment = true;
           if (!protected_peak(cands[qi])) cands[qi].fragment = true;

@@ -24,27 +24,9 @@
 
 namespace tnb::base {
 
-struct CoRaOptions {
-  /// Peaks whose amplitude is within this relative error of the history
-  /// expectation are protected from fragment elimination (they are
-  /// plausibly the target even if a boundary could explain them).
-  double amp_tol = 0.3;
-  /// A peak pair is a fragment pair if the two interferer-amplitude
-  /// estimates a_p/f and a_q/(1-f) agree within this relative tolerance.
-  double fragment_tol = 0.25;
-  /// Cyclic-bin distance to a masked (known-interference) location at
-  /// which a peak is discarded, matching the CIC/AlignTrack convention.
-  double mask_tol = 1.5;
-  /// Candidate peaks examined per symbol (height-sorted view peaks).
-  std::size_t max_candidates = 8;
-  /// Boundary fractions closer than this to the window edge are ignored:
-  /// the smaller fragment carries too little energy to show as a peak.
-  double min_boundary_frac = 0.04;
-};
-
 class CoRaDetector final : public rx::PeakAssigner {
  public:
-  explicit CoRaDetector(lora::Params p, CoRaOptions opt = {});
+  explicit CoRaDetector(lora::Params p);
 
   std::vector<rx::Assignment> assign(const rx::AssignInput& in) override;
 
@@ -55,7 +37,6 @@ class CoRaDetector final : public rx::PeakAssigner {
 
  private:
   lora::Params p_;
-  CoRaOptions opt_;
 };
 
 }  // namespace tnb::base

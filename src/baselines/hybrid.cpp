@@ -1,14 +1,17 @@
 #include "baselines/hybrid.hpp"
 
 namespace tnb::base {
+namespace {
 
-HybridAssigner::HybridAssigner(lora::Params p, HybridOptions opt)
-    : p_(p),
-      opt_(opt),
-      cora_(p, opt.cora),
-      thrive_(p, opt.thrive) {
-  p_.validate();
-}
+/// Symbols whose CoRa confidence falls below this are re-decided by
+/// Thrive. 0 would never escalate (pure CoRa); 1 would always (pure
+/// Thrive).
+constexpr double kEscalateBelow = 0.7;
+
+}  // namespace
+
+// CoRaDetector validates `p`.
+HybridAssigner::HybridAssigner(lora::Params p) : cora_(p), thrive_(p) {}
 
 std::vector<rx::Assignment> HybridAssigner::assign(const rx::AssignInput& in) {
   std::vector<double> confidence;
@@ -18,7 +21,7 @@ std::vector<rx::Assignment> HybridAssigner::assign(const rx::AssignInput& in) {
 
   bool any_doubtful = false;
   for (double c : confidence) {
-    if (c < opt_.escalate_below) {
+    if (c < kEscalateBelow) {
       any_doubtful = true;
       break;
     }
@@ -29,7 +32,7 @@ std::vector<rx::Assignment> HybridAssigner::assign(const rx::AssignInput& in) {
   // symbol's peaks anyway); only the doubtful symbols take its verdict.
   const std::vector<rx::Assignment> arbitrated = thrive_.assign(in);
   for (std::size_t i = 0; i < out.size(); ++i) {
-    if (confidence[i] < opt_.escalate_below) {
+    if (confidence[i] < kEscalateBelow) {
       out[i] = arbitrated[i];
       ++stats_.escalated;
     }

@@ -15,14 +15,6 @@
 
 namespace tnb::base {
 
-struct HybridOptions {
-  /// Symbols whose CoRa confidence falls below this are re-decided by
-  /// Thrive. 0 never escalates (pure CoRa); 1 always does (pure Thrive).
-  double escalate_below = 0.7;
-  CoRaOptions cora;
-  rx::ThriveOptions thrive;
-};
-
 /// Work counters for the escalation split (bench/eval reporting).
 struct HybridStats {
   std::size_t calls = 0;      ///< checking points processed
@@ -32,15 +24,13 @@ struct HybridStats {
 
 class HybridAssigner final : public rx::PeakAssigner {
  public:
-  explicit HybridAssigner(lora::Params p, HybridOptions opt = {});
+  explicit HybridAssigner(lora::Params p);
 
   std::vector<rx::Assignment> assign(const rx::AssignInput& in) override;
 
   const HybridStats& stats() const { return stats_; }
 
  private:
-  lora::Params p_;
-  HybridOptions opt_;
   CoRaDetector cora_;
   rx::Thrive thrive_;
   HybridStats stats_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 #include "common/math_util.hpp"
 #include "core/window.hpp"
@@ -11,6 +10,38 @@
 
 namespace tnb::base {
 namespace {
+
+/// Sub-symbol window positions per symbol period (the slide granularity;
+/// 2 divides every samples-per-symbol, 2^SF * OSF).
+constexpr std::size_t kStepsPerSymbol = 2;
+/// Accumulated-spectrum peaks must exceed this multiple of the noise
+/// floor. Lower than Detector's 8: accumulation already buys ~8x.
+constexpr double kPeakFloorRatio = 5.0;
+/// Minimum consecutive accumulation steps with a matching peak. The
+/// slot-support gate below carries the specificity; the run check only
+/// rejects one-step flukes.
+constexpr std::size_t kMinRun = 3;
+/// An accumulated peak only counts when at least this many of its 8
+/// contributing slot spectra carry energy at the peak bin. A preamble
+/// feeds all 8 slots; a lone collider data symbol (which persists across
+/// ~15 overlapping accumulation windows) feeds exactly one.
+constexpr int kMinSlotSupport = 6;
+/// Per-slot energy (at the peak bin, +/-1) must reach this fraction of
+/// the peak's mean slot contribution (value / 8) to count as support.
+constexpr double kSlotSupportRatio = 0.2;
+/// Maximum peaks tracked per accumulation step.
+constexpr std::size_t kMaxPeaksPerStep = 8;
+/// |CFO| bound for the half-period branch pick: this many Hz plus one
+/// cycle per symbol, as Detector derives it.
+constexpr double kMaxCfoHz = 4880.0;
+/// Minimum step-2 validation checks (out of 12) to accept a preamble.
+constexpr int kMinValidationScore = 8;
+/// A validation check must also hold this fraction of its own window's
+/// spectrum maximum — the floor ratio alone passes on sidelobe leakage
+/// when the noise floor is tiny (high SNR). Far sidelobes of a dominant
+/// peak sit near 1e-3 of it; a weak packet under a strong collider
+/// (near-far) still holds ~1e-1..1e-2, so 5e-3 separates the two.
+constexpr double kValidationDominanceRatio = 5e-3;
 
 /// Noise-floor proxy (same convention as Detector's): the median, kept
 /// above a tiny fraction of the maximum so noiseless traces do not make
@@ -30,23 +61,18 @@ double cyclic_dist(double a, double b, double n) {
 
 }  // namespace
 
-LZnSync::LZnSync(lora::Params p, LZnOptions opt)
-    : p_(p), opt_(opt), demod_(p), fsync_(p) {
+LZnSync::LZnSync(lora::Params p)
+    : p_(p),
+      max_cfo_cycles_(p.cfo_hz_to_cycles(kMaxCfoHz) + 1.0),
+      demod_(p),
+      fsync_(p) {
   p_.validate();
-  if (opt_.steps_per_symbol == 0 ||
-      p_.sps() % opt_.steps_per_symbol != 0) {
-    throw std::invalid_argument(
-        "LZnSync: steps_per_symbol must divide samples-per-symbol");
-  }
-  if (opt_.max_cfo_cycles <= 0.0) {
-    opt_.max_cfo_cycles = p_.cfo_hz_to_cycles(4880.0) + 1.0;
-  }
 }
 
 std::vector<LZnSync::Candidate> LZnSync::find_candidates(
     std::span<const cfloat> trace, lora::Workspace& ws) {
   const std::size_t sps = p_.sps();
-  const std::size_t s = opt_.steps_per_symbol;
+  const std::size_t s = kStepsPerSymbol;
   const std::size_t step = sps / s;
   const std::size_t nb = p_.n_bins();
   const double nd = static_cast<double>(nb);
@@ -73,7 +99,7 @@ std::vector<LZnSync::Candidate> LZnSync::find_candidates(
   std::vector<Run> active;
 
   auto finalize = [&](const Run& r) {
-    if (r.last - r.first + 1 < opt_.min_run) return;
+    if (r.last - r.first + 1 < kMinRun) return;
     Candidate c;
     c.w0 = static_cast<double>(r.best_step * step);
     c.x1 = r.best_frac;
@@ -83,7 +109,7 @@ std::vector<LZnSync::Candidate> LZnSync::find_candidates(
 
   dsp::PeakFinderOptions pf;
   pf.circular = true;
-  pf.max_peaks = opt_.max_peaks_per_step;
+  pf.max_peaks = kMaxPeaksPerStep;
   // A collider can mask up to a symbol of steps; tolerate that gap before
   // retiring a run.
   const std::size_t gap = s + 1;
@@ -121,7 +147,7 @@ std::vector<LZnSync::Candidate> LZnSync::find_candidates(
       if (std::isfinite(floor)) {
         pf.sel = 4.0 * floor;
         pf.use_threshold = true;
-        pf.threshold = opt_.peak_floor_ratio * floor;
+        pf.threshold = kPeakFloorRatio * floor;
         peaks = dsp::find_peaks(acc, pf);
       }
     }
@@ -131,7 +157,7 @@ std::vector<LZnSync::Candidate> LZnSync::find_candidates(
     // accumulation windows and would otherwise fake a long run — draws on
     // exactly one. Keep only peaks most slots vouch for.
     std::erase_if(peaks, [&](const dsp::Peak& pk) {
-      const double need = opt_.slot_support_ratio * pk.value / 8.0;
+      const double need = kSlotSupportRatio * pk.value / 8.0;
       int support = 0;
       for (std::size_t j = 0; j < 8; ++j) {
         const SignalVector& part = ring[(k + j * s) % ring_len];
@@ -144,7 +170,7 @@ std::vector<LZnSync::Candidate> LZnSync::find_candidates(
         }
         if (e >= need) ++support;
       }
-      return support < opt_.min_slot_support;
+      return support < kMinSlotSupport;
     });
 
     for (const dsp::Peak& pk : peaks) {
@@ -258,7 +284,7 @@ void LZnSync::resolve(std::span<const cfloat> trace, const Candidate& cand,
     if (!ok) continue;
     const double floor = noise_floor(sv);
     pf.use_threshold = true;
-    pf.threshold = opt_.peak_floor_ratio * floor;
+    pf.threshold = kPeakFloorRatio * floor;
     for (const dsp::Peak& pk : dsp::find_peaks(sv, pf)) {
       bool merged = false;
       for (DownHyp& h : hyps) {
@@ -290,9 +316,9 @@ void LZnSync::resolve(std::span<const cfloat> trace, const Candidate& cand,
     // eps up to an N/2 ambiguity that the CFO bound resolves.
     const double sum = floor_mod((cand.x1 + hyp.x2) / 2.0, n / 2.0);
     double eps = wrap_half(sum, n / 2.0);
-    if (std::abs(eps) > opt_.max_cfo_cycles) {
+    if (std::abs(eps) > max_cfo_cycles_) {
       const double alt = eps > 0 ? eps - n / 2.0 : eps + n / 2.0;
-      if (std::abs(alt) > opt_.max_cfo_cycles) continue;
+      if (std::abs(alt) > max_cfo_cycles_) continue;
       eps = alt;
     }
     const double delta = floor_mod(cand.x1 - eps, n);  // chirp samples
@@ -317,8 +343,7 @@ void LZnSync::resolve(std::span<const cfloat> trace, const Candidate& cand,
           return;
         }
         const auto [rel, dom] = energy_at(trace, start, eps, bin, up, ws);
-        if (rel >= opt_.peak_floor_ratio &&
-            dom >= opt_.validation_dominance_ratio) {
+        if (rel >= kPeakFloorRatio && dom >= kValidationDominanceRatio) {
           ++score;
           strength += rel;
         }
@@ -339,7 +364,7 @@ void LZnSync::resolve(std::span<const cfloat> trace, const Candidate& cand,
     }
     if (best_score == 12) break;
   }
-  if (best_score < opt_.min_validation_score) return;
+  if (best_score < kMinValidationScore) return;
 
   rx::DetectedPacket pkt;
   pkt.t0 = best_t0;
@@ -388,16 +413,14 @@ std::vector<rx::DetectedPacket> LZnSync::sync(std::span<const cfloat> trace) {
     if (!merged) dedup.push_back(pkt);
   }
 
-  if (opt_.refine) {
-    for (rx::DetectedPacket& det : dedup) {
-      const rx::FracSyncResult r =
-          fsync_.refine(trace, det.t0, det.cfo_cycles, ws);
-      // Trust the refinement only under the Q* gate, like the built-in
-      // front end: an interferer can steer the ungated fallback.
-      if (r.gated) {
-        det.t0 += r.dt;
-        det.cfo_cycles += r.df;
-      }
+  for (rx::DetectedPacket& det : dedup) {
+    const rx::FracSyncResult r =
+        fsync_.refine(trace, det.t0, det.cfo_cycles, ws);
+    // Trust the refinement only under the Q* gate, like the built-in
+    // front end: an interferer can steer the ungated fallback.
+    if (r.gated) {
+      det.t0 += r.dt;
+      det.cfo_cycles += r.df;
     }
   }
   return dedup;

@@ -12,8 +12,8 @@
 // stay spread — the SNR headroom that lets a weak preamble surface under a
 // strong collider. The accumulated peak is then resolved exactly like the
 // paper's step 3 (downchirp hypotheses -> eps/delta -> 12-point validation
-// at +/-2 symbol shifts) and optionally polished by FracSync, so the
-// returned detections feed the unchanged checking-point walk.
+// at +/-2 symbol shifts) and polished by FracSync, so the returned
+// detections feed the unchanged checking-point walk.
 #pragma once
 
 #include <cstddef>
@@ -28,45 +28,9 @@
 
 namespace tnb::base {
 
-struct LZnOptions {
-  /// Sub-symbol window positions per symbol period (the slide granularity;
-  /// must divide the samples-per-symbol).
-  std::size_t steps_per_symbol = 2;
-  /// Accumulated-spectrum peaks must exceed this multiple of the noise
-  /// floor. Lower than Detector's 8: accumulation already buys ~8x.
-  double peak_floor_ratio = 5.0;
-  /// Minimum consecutive accumulation steps with a matching peak. The
-  /// slot-support gate below carries the specificity; the run check only
-  /// rejects one-step flukes.
-  std::size_t min_run = 3;
-  /// An accumulated peak only counts when at least this many of its 8
-  /// contributing slot spectra carry energy at the peak bin. A preamble
-  /// feeds all 8 slots; a lone collider data symbol (which persists across
-  /// ~15 overlapping accumulation windows) feeds exactly one.
-  int min_slot_support = 6;
-  /// Per-slot energy (at the peak bin, +/-1) must reach this fraction of
-  /// the peak's mean slot contribution (value / 8) to count as support.
-  double slot_support_ratio = 0.2;
-  /// Maximum peaks tracked per accumulation step.
-  std::size_t max_peaks_per_step = 8;
-  /// |CFO| bound (cycles/symbol) for the half-period branch pick.
-  double max_cfo_cycles = 0.0;  ///< 0 = derive from 4.88 kHz and params
-  /// Minimum step-2 validation checks (out of 12) to accept a preamble.
-  int min_validation_score = 8;
-  /// A validation check must also hold this fraction of its own window's
-  /// spectrum maximum — the floor ratio alone passes on sidelobe leakage
-  /// when the noise floor is tiny (high SNR). Far sidelobes of a dominant
-  /// peak sit near 1e-3 of it; a weak packet under a strong collider
-  /// (near-far) still holds ~1e-1..1e-2, so 5e-3 separates the two.
-  double validation_dominance_ratio = 5e-3;
-  /// Polish accepted detections with FracSync (gated, like the built-in
-  /// front end) — gives sub-sample timing at high SNR.
-  bool refine = true;
-};
-
 class LZnSync final : public rx::FrameSync {
  public:
-  explicit LZnSync(lora::Params p, LZnOptions opt = {});
+  explicit LZnSync(lora::Params p);
 
   std::vector<rx::DetectedPacket> sync(
       std::span<const cfloat> trace) override;
@@ -96,7 +60,7 @@ class LZnSync final : public rx::FrameSync {
                                       lora::Workspace& ws) const;
 
   lora::Params p_;
-  LZnOptions opt_;
+  double max_cfo_cycles_;  ///< |CFO| bound for the half-period branch pick
   lora::Demodulator demod_;
   rx::FracSync fsync_;
 };

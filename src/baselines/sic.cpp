@@ -5,10 +5,22 @@
 #include "lora/modulator.hpp"
 
 namespace tnb::base {
+namespace {
 
-SicDecoder::SicDecoder(lora::Params p, SicOptions opt)
-    : p_(p), opt_(std::move(opt)) {
+/// Cancellation rounds, each a full decode of the residual.
+constexpr int kMaxRounds = 6;
+
+}  // namespace
+
+SicDecoder::SicDecoder(lora::Params p,
+                       std::optional<rx::ImplicitHeader> implicit,
+                       lora::Coding coding)
+    : p_(p) {
   p_.validate();
+  vanilla_.use_bec = false;
+  vanilla_.two_pass = false;
+  vanilla_.implicit_header = implicit;
+  vanilla_.coding = coding;
 }
 
 void SicDecoder::cancel(IqBuffer& work, const sim::DecodedPacket& pkt,
@@ -52,10 +64,10 @@ std::vector<sim::DecodedPacket> SicDecoder::decode(
     std::span<const cfloat> trace, Rng& rng) const {
   IqBuffer work(trace.begin(), trace.end());
   std::vector<sim::DecodedPacket> out;
-  const rx::Receiver vanilla(p_, opt_.vanilla);
+  const rx::Receiver vanilla(p_, vanilla_);
   const double dup_tol = 0.5 * static_cast<double>(p_.sps());
 
-  for (int round = 0; round < opt_.max_rounds; ++round) {
+  for (int round = 0; round < kMaxRounds; ++round) {
     const auto decoded = vanilla.decode(work, rng);
     std::size_t fresh = 0;
     for (const sim::DecodedPacket& pkt : decoded) {

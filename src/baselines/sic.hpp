@@ -11,6 +11,7 @@
 // approaches like TnB.
 #pragma once
 
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -19,21 +20,13 @@
 
 namespace tnb::base {
 
-struct SicOptions {
-  int max_rounds = 6;      ///< cancellation rounds (packets decoded)
-  /// Per-round decoder configuration; its coding and implicit header are
-  /// also the frame format cancellation re-encodes with.
-  rx::ReceiverOptions vanilla;
-
-  SicOptions() {
-    vanilla.use_bec = false;
-    vanilla.two_pass = false;
-  }
-};
-
 class SicDecoder {
  public:
-  explicit SicDecoder(lora::Params p, SicOptions opt = {});
+  /// `implicit` and `coding` set the frame format, as for make_receiver:
+  /// each round's receiver decodes it and cancellation re-encodes with it.
+  explicit SicDecoder(lora::Params p,
+                      std::optional<rx::ImplicitHeader> implicit = {},
+                      lora::Coding coding = lora::Coding::kPaper);
 
   /// Decodes by successive cancellation. Each round removes every packet
   /// decoded so far from the residual before re-detecting.
@@ -49,7 +42,7 @@ class SicDecoder {
               const rx::FrameCodec& codec) const;
 
   lora::Params p_;
-  SicOptions opt_;
+  rx::ReceiverOptions vanilla_;  ///< each round's receiver
 };
 
 }  // namespace tnb::base

@@ -1,12 +1,11 @@
 // Dependency-free thread pool for fanning out independent simulation runs.
 //
-// The experiment layer (sim::run_repeated / sim::run_grid) and the bench
-// drivers submit coarse per-run tasks; determinism is preserved by deriving
-// each task's RNG seed from its index and writing results into pre-sized
-// slots, so scheduling order never affects output. The pool itself is
-// deliberately small: submit/wait, a bounded queue (back-pressure for
-// producers that outrun the workers), and exception propagation to the
-// waiter.
+// tnb_eval and the parallel benches fan coarse per-run tasks out with
+// parallel_for; determinism is preserved by deriving each task's RNG seed
+// from its index and writing results into pre-sized slots, so scheduling
+// order never affects output. The pool itself is deliberately small:
+// submit/wait, a bounded queue (back-pressure for producers that outrun
+// the workers), and exception propagation to the waiter.
 #pragma once
 
 #include <algorithm>

@@ -180,7 +180,6 @@ void Fleet::enqueue(Lane& lane, IqBuffer chunk) {
     });
     if (lane.finished) return;  // lane died mid-run; drop, don't deadlock
     lane.q.push_back(std::move(chunk));
-    lane.queued_samples += n;
     ++chunks_dispatched_;
     lane.queue_depth.set(static_cast<std::int64_t>(lane.q.size()));
   }
@@ -254,11 +253,6 @@ const std::vector<LedgerEntry>& Fleet::ledger() {
   return ledger_.finalize();
 }
 
-stream::StreamingStats Fleet::lane_stream_stats(std::size_t i) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return lanes_[i]->snapshot;
-}
-
 FleetStats Fleet::stats() const {
   FleetStats s;
   s.channels = opt_.n_channels;
@@ -329,7 +323,6 @@ void Fleet::worker_loop(unsigned worker) {
       if (!lane->q.empty()) {
         chunk = std::move(lane->q.front());
         lane->q.pop_front();
-        lane->queued_samples -= chunk.size();
         lane->queue_depth.set(static_cast<std::int64_t>(lane->q.size()));
       } else {
         do_finish = true;  // done_ and drained: run the lane's finish()
@@ -365,11 +358,7 @@ void Fleet::worker_loop(unsigned worker) {
       std::lock_guard<std::mutex> lk(mu_);
       lane->snapshot = std::move(snap);
       lane->claimed = false;
-      if (do_finish) {
-        lane->finished = true;
-      } else {
-        ++lane->chunks_done;
-      }
+      if (do_finish) lane->finished = true;
     }
     cv_work_.notify_all();
   }

@@ -131,24 +131,15 @@ class Fleet {
   /// per-lane stream stats are the lane's last post-chunk snapshot).
   FleetStats stats() const;
 
-  std::size_t lane_count() const { return lanes_.size(); }
-  const LaneInfo& lane_info(std::size_t i) const { return lanes_[i]->info; }
-  /// Post-chunk snapshot of one lane's streaming stats (exact after
-  /// finish()).
-  stream::StreamingStats lane_stream_stats(std::size_t i) const;
-
   const FleetOptions& options() const { return opt_; }
-  const lora::Params& base_params() const { return base_; }
 
  private:
   struct Lane {
     LaneInfo info;
     stream::StreamingReceiver rx;
     std::deque<IqBuffer> q;            ///< guarded by Fleet::mu_
-    std::size_t queued_samples = 0;
     bool claimed = false;              ///< a worker is inside rx right now
     bool finished = false;
-    std::size_t chunks_done = 0;
     stream::StreamingStats snapshot;   ///< rx.stats() copy, post-chunk
     obs::GaugeRef queue_depth;
 

@@ -974,12 +974,10 @@ void oracle_baseline_receiver_totality(FuzzInput& in) {
 
 void oracle_lzn_sync_totality(FuzzInput& in) {
   const lora::Params p = arbitrary_params_small(in);
-  base::LZnOptions opt;
-  opt.refine = in.boolean();
   const std::size_t n = static_cast<std::size_t>(in.uniform(0, 30)) * p.sps();
   const IqBuffer iq = arbitrary_iq(in, n);
 
-  base::LZnSync sync(p, opt);
+  base::LZnSync sync(p);
   const auto a = sync.sync(iq);
   for (const auto& d : a) {
     TNB_ORACLE(std::isfinite(d.t0) && std::isfinite(d.cfo_cycles),
@@ -987,8 +985,7 @@ void oracle_lzn_sync_totality(FuzzInput& in) {
     TNB_ORACLE(d.t0 > -static_cast<double>(p.sps()) &&
                    d.t0 < static_cast<double>(iq.size()),
                "detection outside the trace");
-    TNB_ORACLE(d.validation_score >= opt.min_validation_score &&
-                   d.validation_score <= 12,
+    TNB_ORACLE(d.validation_score >= 8 && d.validation_score <= 12,
                "validation score out of contract");
   }
   const auto b = sync.sync(iq);

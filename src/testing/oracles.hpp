@@ -150,7 +150,7 @@ void oracle_impairment_totality(FuzzInput& in);
 /// in-air-limit payload.
 void oracle_baseline_receiver_totality(FuzzInput& in);
 /// LZnSync::sync on arbitrary IQ: total, every detection finite and
-/// in-bounds with a score that meets the configured threshold, and the
+/// in-bounds with a score that meets LZnSync's gate (8 of 12), and the
 /// detection list identical across repeated calls.
 void oracle_lzn_sync_totality(FuzzInput& in);
 

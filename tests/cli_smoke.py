@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """ctest cli_smoke: the command-line contract of tnb_gen, tnb_eval and
-tnb_streamd.
+tnb_streamd, and of the benches that take --jobs.
 
-    python3 cli_smoke.py TNB_GEN TNB_EVAL TNB_STREAMD WORKDIR
+    python3 cli_smoke.py TNB_GEN TNB_EVAL TNB_STREAMD WORKDIR [BENCH...]
 
 --help exits 0 with the usage on stdout (tnb_eval's lists every scheme);
 each bad value exits 2 with "<tool>: <flag>:" on stderr; the unknown-scheme
 and unknown-backend messages keep the text CI greps for; and a tiny
-gen -> eval -> streamd round trip still decodes.
+gen -> eval -> streamd round trip still decodes. Each BENCH is only
+parsed, never run: --help, and a bad or missing --jobs value.
 """
 import os
 import subprocess
@@ -28,11 +29,12 @@ def expect(ok, what, r=None):
 
 def main():
     gen, ev, sd, workdir = sys.argv[1:5]
+    benches = sys.argv[5:]
     os.makedirs(workdir, exist_ok=True)
     prefix = os.path.join(workdir, "trace")
     trace = prefix + ".bin"
 
-    for tool in (gen, ev, sd):
+    for tool in [gen, ev, sd] + benches:
         name = os.path.basename(tool)
         r = run([tool, "--help"])
         expect(r.returncode == 0 and r.stdout.startswith("usage: " + name)
@@ -67,11 +69,15 @@ def main():
         (sd, ["--in", trace, "--implicit-len", "-5"], "--implicit-len"),
         (sd, ["--in", trace, "--chunk", "abc"], "--chunk"),
     ]
+    for bench in benches:
+        for jobs in (["abc"], ["0"], ["-2"], []):
+            bad.append((bench, ["--jobs"] + jobs, "--jobs"))
     for tool, args, flag in bad:
         name = os.path.basename(tool)
         r = run([tool] + args)
+        shown = args if tool in benches else args[2:]  # drop --in/--out
         expect(r.returncode == 2 and f"{name}: {flag}:" in r.stderr,
-               f"{name} {' '.join(args[2:])}", r)
+               f"{name} {' '.join(shown)}", r)
 
     r = run([ev, "--in", prefix, "--sf", "7", "--scheme", "nope"])
     expect(r.returncode == 2 and "unknown scheme 'nope'" in r.stderr

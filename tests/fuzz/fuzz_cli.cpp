@@ -36,7 +36,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   std::uint64_t seed = 1;
   std::string text = unset, pick = "a";
   unsigned n = 1;
-  int lanes = 0;
+  int lanes = 0, jobs = 1;
   double x = 0.5;
   bool on = false;
   std::vector<unsigned> sfs;
@@ -45,7 +45,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       {cli::sf(params), cli::cr(params), cli::bw(params), cli::osf(params),
        cli::wire_format(coding), cli::implicit_len(implicit_len),
        cli::impair(stages), cli::impair_seed(seed), cli::fft_backend(),
-       {"--text S", cli::text(text), true},
+       cli::jobs(jobs), {"--text S", cli::text(text), true},
        cli::one_of("--pick NAME", pick, "a, bb"),
        {"--n N", cli::number(n, 1u, 64u)},
        {"--lanes J", cli::number(lanes, 0, 1024)},
@@ -75,6 +75,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   TNB_ORACLE(pick == "a" || pick == "bb", "one_of stored '" + pick + "'");
   TNB_ORACLE(n >= 1 && n <= 64, "integer out of range");
   TNB_ORACLE(lanes >= 0 && lanes <= 1024, "signed integer out of range");
+  TNB_ORACLE(jobs >= 1 && jobs <= 1024, "--jobs out of range");
   TNB_ORACLE(x >= 0.0 && x <= 1.0, "real out of range");
   for (unsigned sf : sfs) TNB_ORACLE(sf >= 5 && sf <= 12, "list item range");
   TNB_ORACLE(stages.size() < args.size(), "more stages than arguments");

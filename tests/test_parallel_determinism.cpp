@@ -1,50 +1,73 @@
-// Parallel-execution determinism: run_repeated / run_grid must produce
-// bit-identical Series.values for every jobs value — same seed derivation
-// per (scenario, run) and results written to pre-sized slots, so worker
-// scheduling can never reorder or perturb the output.
+// Parallel-execution determinism: independent (scenario, run) cells fanned
+// out over common::parallel_for, as tnb_eval and the parallel benches do,
+// must produce bit-identical results for every jobs value — each cell's
+// trace seed depends only on its index and each result lands in a
+// pre-sized slot, so worker scheduling can never reorder or perturb the
+// output.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "baselines/factories.hpp"
+#include "common/thread_pool.hpp"
 #include "core/receiver.hpp"
-#include "sim/experiment.hpp"
+#include "sim/deployment.hpp"
 #include "sim/metrics.hpp"
+#include "sim/trace_builder.hpp"
 
-namespace tnb::sim {
+namespace tnb {
 namespace {
 
-Scenario light_scenario() {
-  Scenario sc;
-  sc.params = lora::Params{.sf = 7, .cr = 4, .bandwidth_hz = 125e3, .osf = 2};
-  sc.deployment = indoor_deployment();
-  sc.deployment.n_nodes = 3;
-  sc.load_pps = 4.0;
-  sc.duration_s = 1.0;
-  return sc;
+/// One experiment point: a deployment driven at a load for one second.
+struct Point {
+  lora::Params params;
+  sim::Deployment deployment;
+  double load_pps;
+
+  sim::Trace trace(std::uint64_t seed) const {
+    Rng rng(seed);
+    sim::TraceOptions opt;
+    opt.duration_s = 1.0;
+    opt.load_pps = load_pps;
+    opt.nodes = deployment.draw_nodes(rng);
+    return sim::build_trace(params, opt, rng);
+  }
+};
+
+Point light_point() {
+  sim::Deployment dep = sim::indoor_deployment();
+  dep.n_nodes = 3;
+  return {{.sf = 7, .cr = 4, .bandwidth_hz = 125e3, .osf = 2}, dep, 4.0};
 }
 
-Scenario heavy_scenario() {
-  Scenario sc;
-  sc.params = lora::Params{.sf = 8, .cr = 2, .bandwidth_hz = 125e3, .osf = 2};
-  sc.deployment = outdoor1_deployment();
-  sc.deployment.n_nodes = 4;
-  sc.load_pps = 6.0;
-  sc.duration_s = 1.0;
-  return sc;
+Point heavy_point() {
+  sim::Deployment dep = sim::outdoor1_deployment();
+  dep.n_nodes = 4;
+  return {{.sf = 8, .cr = 2, .bandwidth_hz = 125e3, .osf = 2}, dep, 6.0};
 }
 
-/// Thread-safe score: full receive pipeline, seeded only by the run index.
-double decode_score(const Trace& t, int run) {
-  const rx::Receiver receiver(t.params);
-  Rng rng(1000 + static_cast<std::uint64_t>(run));
+/// cell(i) for i in [0, n) on `jobs` workers, each into its own slot.
+std::vector<double> fan_out(std::size_t n, int jobs,
+                            const std::function<double(std::size_t)>& cell) {
+  std::vector<double> out(n);
+  common::parallel_for(n, jobs, [&](std::size_t i) { out[i] = cell(i); });
+  return out;
+}
+
+/// Full receive pipeline of one scheme, seeded only by the run index.
+double decode_score(base::Scheme scheme, const sim::Trace& t,
+                    std::size_t run) {
+  const rx::Receiver receiver = base::make_receiver(scheme, t.params);
+  Rng rng(1000 + run);
   const auto decoded = receiver.decode(t.iq, rng);
-  return static_cast<double>(evaluate(t, decoded).decoded_unique) +
+  return static_cast<double>(sim::evaluate(t, decoded).decoded_unique) +
          1e-7 * static_cast<double>(t.packets.size());
 }
 
 /// Cheap pure score exercising trace structure only.
-double trace_score(const Trace& t, int) {
+double trace_score(const sim::Trace& t) {
   double s = static_cast<double>(t.packets.size());
   for (const auto& p : t.packets) {
     s += 1e-9 * static_cast<double>(p.start_sample);
@@ -53,96 +76,44 @@ double trace_score(const Trace& t, int) {
 }
 
 TEST(ParallelDeterminism, RunRepeatedMatchesSequential) {
-  for (const Scenario& sc : {light_scenario(), heavy_scenario()}) {
+  for (const Point& point : {light_point(), heavy_point()}) {
     for (std::uint64_t seed : {42ull, 1234567ull}) {
-      RunReport seq_report, par_report;
-      const Series seq = run_repeated(sc, 6, seed, decode_score,
-                                      RunOptions{.jobs = 1}, &seq_report);
-      const Series par = run_repeated(sc, 6, seed, decode_score,
-                                      RunOptions{.jobs = 8}, &par_report);
-      EXPECT_EQ(par.values, seq.values);  // bit-exact, same order
-      EXPECT_EQ(seq_report.jobs, 1);
-      EXPECT_EQ(par_report.jobs, 8);
-      EXPECT_EQ(par_report.runs, 6);
-      EXPECT_EQ(par_report.run_wall_s.size(), 6u);
-      EXPECT_GT(par_report.sequential_s(), 0.0);
+      const auto run = [&](std::size_t r) {
+        return decode_score(base::Scheme::kTnB, point.trace(seed + r), r);
+      };
+      EXPECT_EQ(fan_out(6, 8, run), fan_out(6, 1, run));  // bit-exact
     }
   }
 }
 
 TEST(ParallelDeterminism, BaselineSchemesMatchSequential) {
-  // The new-subsystem schemes (ISSUE 7): CoRa's amplitude decision and the
-  // CoRa->TnB hybrid (plus LZn's custom sync front end) must be
-  // bit-identical for any jobs value, like every other scheme in the grid.
+  // CoRa's amplitude decision and the CoRa->TnB hybrid (plus LZn's custom
+  // sync front end) must be bit-identical for any jobs value, like every
+  // other scheme.
   for (const base::Scheme scheme :
        {base::Scheme::kCoRa, base::Scheme::kCoRaTnB,
         base::Scheme::kLZnThrive}) {
-    const auto score = [scheme](const Trace& t, int run) {
-      rx::Receiver receiver = base::make_receiver(scheme, t.params);
-      Rng rng(1000 + static_cast<std::uint64_t>(run));
-      const auto decoded = receiver.decode(t.iq, rng);
-      return static_cast<double>(evaluate(t, decoded).decoded_unique) +
-             1e-7 * static_cast<double>(t.packets.size());
+    const auto run = [&](std::size_t r) {
+      return decode_score(scheme, light_point().trace(42 + r), r);
     };
-    const Scenario sc = light_scenario();
-    const Series seq =
-        run_repeated(sc, 4, 42, score, RunOptions{.jobs = 1});
-    const Series par =
-        run_repeated(sc, 4, 42, score, RunOptions{.jobs = 8});
-    EXPECT_EQ(par.values, seq.values)
+    EXPECT_EQ(fan_out(4, 8, run), fan_out(4, 1, run))
         << base::scheme_name(scheme) << " not jobs-deterministic";
   }
 }
 
-TEST(ParallelDeterminism, LegacyOverloadUnchanged) {
-  // The historical 4-argument form is the jobs=1 path: same seeds, same
-  // values as before the pool existed.
-  const Scenario sc = light_scenario();
-  const Series legacy = run_repeated(sc, 4, 7, trace_score);
-  const Series par =
-      run_repeated(sc, 4, 7, trace_score, RunOptions{.jobs = 8});
-  EXPECT_EQ(legacy.values, par.values);
-}
-
 TEST(ParallelDeterminism, RunGridMatchesSequentialAcrossScenarios) {
-  const std::vector<Scenario> grid = {light_scenario(), heavy_scenario()};
-  auto score = [](const Trace& t, int scenario, int run) {
-    return trace_score(t, run) + 1000.0 * scenario;
-  };
+  // One task per (point, run) cell, as the benches fan out their grids.
+  const std::vector<Point> grid = {light_point(), heavy_point()};
+  constexpr std::size_t kRuns = 5;
   for (std::uint64_t seed : {42ull, 99ull}) {
-    const auto seq =
-        run_grid(grid, 5, seed, score, RunOptions{.jobs = 1});
-    const auto par =
-        run_grid(grid, 5, seed, score, RunOptions{.jobs = 8});
-    ASSERT_EQ(seq.size(), 2u);
-    ASSERT_EQ(par.size(), 2u);
-    for (std::size_t s = 0; s < grid.size(); ++s) {
-      EXPECT_EQ(par[s].values, seq[s].values);
-    }
+    const auto cell = [&](std::size_t i) {
+      const std::size_t point = i / kRuns;
+      return trace_score(grid[point].trace(seed + i)) + 1000.0 * point;
+    };
+    EXPECT_EQ(fan_out(grid.size() * kRuns, 8, cell),
+              fan_out(grid.size() * kRuns, 1, cell));
   }
 }
 
-TEST(ParallelDeterminism, GridScenarioZeroMatchesRunRepeated) {
-  // run_grid's scenario-0 seed derivation is the run_repeated derivation,
-  // so a 1-scenario grid is exactly a repeated run.
-  const std::vector<Scenario> grid = {light_scenario()};
-  const Series repeated = run_repeated(light_scenario(), 3, 11, trace_score);
-  const auto as_grid = run_grid(
-      grid, 3, 11, [](const Trace& t, int, int run) {
-        return trace_score(t, run);
-      });
-  EXPECT_EQ(as_grid.front().values, repeated.values);
-}
-
-TEST(ParallelDeterminism, GridValidatesArguments) {
-  const std::vector<Scenario> grid = {light_scenario()};
-  EXPECT_THROW(run_grid(grid, 0, 1,
-                        [](const Trace&, int, int) { return 0.0; }),
-               std::invalid_argument);
-  EXPECT_THROW(run_grid(std::span<const Scenario>{}, 1, 1,
-                        [](const Trace&, int, int) { return 0.0; }),
-               std::invalid_argument);
-}
-
 }  // namespace
-}  // namespace tnb::sim
+}  // namespace tnb

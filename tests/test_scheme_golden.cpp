@@ -16,6 +16,12 @@
 // table replaced it. The traces are synthesized with libm, so another libm
 // can shift them; a failing case prints the captured listing in the
 // table's format.
+//
+// The peers' tuning constants (CIC, CoRa, the CoRa-TnB hybrid, LZn) bind
+// only on some inputs, so two more cases pin them: a dense trace (50
+// pkt/s) through every scheme and SIC, and LZnSync's own detections on
+// three traces where its gates decide. Both were captured while the
+// constants were still option fields, before they were folded.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,10 +29,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/factories.hpp"
+#include "baselines/lzn_sync.hpp"
 #include "baselines/sic.hpp"
 #include "common/rng.hpp"
 #include "dsp/fft_backend.hpp"
@@ -44,6 +53,8 @@ struct Config {
   const char* name;
   lora::Coding coding;
   bool implicit;
+  double load_pps = 16.0;
+  double duration_s = 0.6;
 };
 
 constexpr Config kConfigs[] = {
@@ -52,13 +63,18 @@ constexpr Config kConfigs[] = {
     {"implicit", lora::Coding::kPaper, true},
 };
 
-/// The trace tnb_gen writes for `--load 16 --duration 0.6 --seed 5` plus
-/// the configuration's format flags.
+/// `tnb_gen --sf 8 --load 50 --duration 1 --seed 5`: collisions dense
+/// enough that the CoRa-TnB hybrid's escalation threshold moves its
+/// counters.
+constexpr Config kDense{"dense", lora::Coding::kPaper, false, 50.0, 1.0};
+
+/// The trace tnb_gen writes for `--load L --duration D --seed 5` plus the
+/// configuration's format flags.
 sim::Trace build(const Config& c) {
   Rng rng(5);
   sim::TraceOptions opt;
-  opt.duration_s = 0.6;
-  opt.load_pps = 16.0;
+  opt.duration_s = c.duration_s;
+  opt.load_pps = c.load_pps;
   opt.nodes = sim::indoor_deployment().draw_nodes(rng);
   opt.implicit_header = c.implicit;
   opt.coding = c.coding;
@@ -92,6 +108,21 @@ std::string summarize(std::vector<sim::DecodedPacket> pkts) {
   }
   char buf[48];
   std::snprintf(buf, sizeof buf, "%zu %016llx", pkts.size(),
+                static_cast<unsigned long long>(h));
+  return buf;
+}
+
+/// "count digest" of a detection list, in the order given: the bit
+/// patterns of t0 and cfo_cycles, and the validation score.
+std::string summarize(const std::vector<rx::DetectedPacket>& dets) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const rx::DetectedPacket& d : dets) {
+    fnv1a(h, d.t0);
+    fnv1a(h, d.cfo_cycles);
+    fnv1a(h, static_cast<std::uint8_t>(d.validation_score));
+  }
+  char buf[48];
+  std::snprintf(buf, sizeof buf, "%zu %016llx", dets.size(),
                 static_cast<unsigned long long>(h));
   return buf;
 }
@@ -146,9 +177,9 @@ const char* const kGolden[] = {
 };
 // clang-format on
 
-std::vector<std::string> capture() {
+std::vector<std::string> capture(std::span<const Config> configs) {
   std::vector<std::string> out;
-  for (const Config& c : kConfigs) {
+  for (const Config& c : configs) {
     const sim::Trace trace = build(c);
     std::optional<rx::ImplicitHeader> implicit;
     if (c.implicit) implicit = rx::ImplicitHeader{kImplicitLen, kParams.cr};
@@ -171,11 +202,11 @@ std::vector<std::string> capture() {
   return out;
 }
 
-TEST(SchemeGolden, EverySchemeMatchesPinnedOutput) {
-  const BackendGuard guard;
-  ASSERT_TRUE(dsp::set_fft_backend("scalar"));
-  const std::vector<std::string> got = capture();
-  const std::vector<std::string> want(std::begin(kGolden), std::end(kGolden));
+/// Compares a captured listing with its pinned lines, printing the
+/// captured listing in the table's format on a mismatch.
+void expect_listing(const std::vector<std::string>& got,
+                    std::span<const char* const> pinned) {
+  const std::vector<std::string> want(pinned.begin(), pinned.end());
   if (got != want) {
     std::printf("captured listing:\n");
     for (const std::string& line : got) {
@@ -184,6 +215,97 @@ TEST(SchemeGolden, EverySchemeMatchesPinnedOutput) {
   }
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], want[i]);
+}
+
+TEST(SchemeGolden, EverySchemeMatchesPinnedOutput) {
+  const BackendGuard guard;
+  ASSERT_TRUE(dsp::set_fft_backend("scalar"));
+  expect_listing(capture(kConfigs), kGolden);
+}
+
+// clang-format off
+const char* const kDenseGolden[] = {
+    R"(dense TnB 25 8627ede3370495f8 {"detected":38,"header_ok":31,"crc_ok":25,"decoded_first_pass":22,"decoded_second_pass":3,"bec":{"delta_prime":0,"delta1":2981,"delta2":11,"delta3":0,"crc_checks":98,"blocks_no_repair":664,"candidate_blocks":68},"rescued_packets":25,"rescued_codewords":31})",
+    R"(dense Thrive 14 daba1853a6c7186b {"detected":38,"header_ok":27,"crc_ok":14,"decoded_first_pass":13,"decoded_second_pass":1,"bec":{"delta_prime":0,"delta1":0,"delta2":0,"delta3":0,"crc_checks":0,"blocks_no_repair":0,"candidate_blocks":0},"rescued_packets":14,"rescued_codewords":0})",
+    R"(dense Sibling 15 8fcd1a089a77163c {"detected":38,"header_ok":28,"crc_ok":15,"decoded_first_pass":14,"decoded_second_pass":1,"bec":{"delta_prime":0,"delta1":0,"delta2":0,"delta3":0,"crc_checks":0,"blocks_no_repair":0,"candidate_blocks":0},"rescued_packets":15,"rescued_codewords":0})",
+    R"(dense LoRaPHY 7 2dcb10c351237a95 {"detected":38,"header_ok":9,"crc_ok":7,"decoded_first_pass":7,"decoded_second_pass":0,"bec":{"delta_prime":0,"delta1":0,"delta2":0,"delta3":0,"crc_checks":0,"blocks_no_repair":0,"candidate_blocks":0},"rescued_packets":7,"rescued_codewords":0})",
+    R"(dense CIC 11 1b4d287a899cc252 {"detected":38,"header_ok":22,"crc_ok":11,"decoded_first_pass":8,"decoded_second_pass":3,"bec":{"delta_prime":0,"delta1":0,"delta2":0,"delta3":0,"crc_checks":0,"blocks_no_repair":0,"candidate_blocks":0},"rescued_packets":11,"rescued_codewords":0})",
+    R"(dense CIC+ 17 25af6ba708fce094 {"detected":38,"header_ok":27,"crc_ok":17,"decoded_first_pass":11,"decoded_second_pass":6,"bec":{"delta_prime":0,"delta1":5581,"delta2":20,"delta3":0,"crc_checks":212,"blocks_no_repair":1171,"candidate_blocks":504},"rescued_packets":17,"rescued_codewords":26})",
+    R"(dense AlignTrack* 16 73558b262c57c922 {"detected":38,"header_ok":29,"crc_ok":16,"decoded_first_pass":15,"decoded_second_pass":1,"bec":{"delta_prime":0,"delta1":0,"delta2":0,"delta3":0,"crc_checks":0,"blocks_no_repair":0,"candidate_blocks":0},"rescued_packets":16,"rescued_codewords":0})",
+    R"(dense AlignTrack*+ 25 cb326725549efbf9 {"detected":38,"header_ok":32,"crc_ok":25,"decoded_first_pass":23,"decoded_second_pass":2,"bec":{"delta_prime":0,"delta1":2061,"delta2":8,"delta3":0,"crc_checks":151,"blocks_no_repair":397,"candidate_blocks":461},"rescued_packets":25,"rescued_codewords":28})",
+    R"(dense CoRa 6 a322b715a58c5f2a {"detected":38,"header_ok":21,"crc_ok":6,"decoded_first_pass":6,"decoded_second_pass":0,"bec":{"delta_prime":0,"delta1":0,"delta2":0,"delta3":0,"crc_checks":0,"blocks_no_repair":0,"candidate_blocks":0},"rescued_packets":6,"rescued_codewords":0})",
+    R"(dense CoRa+ 7 08ea73832208bce4 {"detected":38,"header_ok":28,"crc_ok":7,"decoded_first_pass":6,"decoded_second_pass":1,"bec":{"delta_prime":0,"delta1":6265,"delta2":190,"delta3":0,"crc_checks":247,"blocks_no_repair":1131,"candidate_blocks":887},"rescued_packets":7,"rescued_codewords":6})",
+    R"(dense LZn-Thrive 9 91decb36bf527978 {"detected":9,"header_ok":9,"crc_ok":9,"decoded_first_pass":9,"decoded_second_pass":0,"bec":{"delta_prime":0,"delta1":0,"delta2":0,"delta3":0,"crc_checks":0,"blocks_no_repair":0,"candidate_blocks":0},"rescued_packets":9,"rescued_codewords":0})",
+    R"(dense CoRa-TnB 24 c35f5411657f5752 {"detected":38,"header_ok":31,"crc_ok":24,"decoded_first_pass":22,"decoded_second_pass":2,"bec":{"delta_prime":0,"delta1":1655,"delta2":8,"delta3":0,"crc_checks":129,"blocks_no_repair":611,"candidate_blocks":94},"rescued_packets":24,"rescued_codewords":34})",
+    R"(dense SIC 38 e2443478f6eb1fd1)",
+};
+// clang-format on
+
+TEST(SchemeGolden, DenseTraceMatchesPinnedOutput) {
+  const BackendGuard guard;
+  ASSERT_TRUE(dsp::set_fft_backend("scalar"));
+  expect_listing(capture({&kDense, 1}), kDenseGolden);
+}
+
+/// Traces on which LZnSync's gates decide, each "name" plus the trace:
+///  - outdoor2: `tnb_gen --deployment outdoor2 --load 20 --duration 1
+///    --seed 9`; the slot-support count moves it.
+///  - near-far: three nodes at 40, 28 and 16 dB SNR, 20 pkt/s for 1 s.
+///    The weak preambles sit under strong data symbols, so validation
+///    scores of 8 and 9 occur: the floor ratio, the score gate and the
+///    dominance ratio move it.
+///  - spread: 20 nodes with SNRs drawn from 5 +/- 15 dB, clipped to
+///    -10..40 dB, 30 pkt/s for 1 s: preambles near the noise floor and
+///    under 50 dB colliders; the run length, the slot-support ratio, the
+///    peaks kept per step and the CFO bound move it.
+std::vector<std::pair<std::string, sim::Trace>> lzn_traces() {
+  const auto make = [](std::vector<sim::NodeConfig> nodes, double load,
+                       Rng& rng) {
+    sim::TraceOptions opt;
+    opt.duration_s = 1.0;
+    opt.load_pps = load;
+    opt.nodes = std::move(nodes);
+    return sim::build_trace(kParams, opt, rng);
+  };
+  std::vector<std::pair<std::string, sim::Trace>> out;
+  Rng outdoor(9);
+  out.emplace_back("outdoor2",
+                   make(sim::outdoor2_deployment().draw_nodes(outdoor), 20.0,
+                        outdoor));
+  Rng near_far(1);
+  out.emplace_back("near-far",
+                   make({{1, 40.0, 1500.0}, {2, 16.0, -2600.0},
+                         {3, 28.0, 700.0}},
+                        20.0, near_far));
+  Rng spread(5);
+  const sim::Deployment dep{.name = "spread",
+                            .n_nodes = 20,
+                            .snr_mean_db = 5.0,
+                            .snr_stddev_db = 15.0,
+                            .snr_min_db = -10.0,
+                            .snr_max_db = 40.0};
+  out.emplace_back("spread", make(dep.draw_nodes(spread), 30.0, spread));
+  return out;
+}
+
+// "<trace> LZnSync <count> <digest>"
+// clang-format off
+const char* const kLZnGolden[] = {
+    R"(outdoor2 LZnSync 9 0cd146054baa0ed8)",
+    R"(near-far LZnSync 9 460df1d9db899ec2)",
+    R"(spread LZnSync 8 a970cdf73aa4858b)",
+};
+// clang-format on
+
+TEST(SchemeGolden, LZnSyncDetectionsMatchPinnedOutput) {
+  const BackendGuard guard;
+  ASSERT_TRUE(dsp::set_fft_backend("scalar"));
+  std::vector<std::string> got;
+  for (const auto& [name, trace] : lzn_traces()) {
+    LZnSync sync(kParams);
+    got.push_back(name + " LZnSync " + summarize(sync.sync(trace.iq)));
+  }
+  expect_listing(got, kLZnGolden);
 }
 
 }  // namespace

@@ -2,8 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <optional>
+#include <vector>
+
 #include "baselines/factories.hpp"
+#include "channel/awgn.hpp"
 #include "common/rng.hpp"
+#include "lora/coding.hpp"
+#include "lora/modulator.hpp"
 #include "sim/metrics.hpp"
 #include "sim/trace_builder.hpp"
 
@@ -68,12 +76,11 @@ TEST(Sic, CancelsInTheRoundReceiversFrameFormat) {
     opt.implicit_header = !wire;
     const sim::Trace trace = sim::build_trace(p, opt, rng);
 
-    SicOptions sopt;
-    sopt.vanilla.coding = opt.coding;
-    if (!wire) sopt.vanilla.implicit_header = rx::ImplicitHeader{16, 4};
+    std::optional<rx::ImplicitHeader> implicit;
+    if (!wire) implicit = rx::ImplicitHeader{16, 4};
+    const SicDecoder sic(p, implicit, opt.coding);
     Rng rx_rng(4);
-    const auto result =
-        sim::evaluate(trace, SicDecoder(p, sopt).decode(trace.iq, rx_rng));
+    const auto result = sim::evaluate(trace, sic.decode(trace.iq, rx_rng));
     EXPECT_EQ(result.decoded_unique, result.transmitted);
     EXPECT_EQ(result.false_packets, 0u);
   }
@@ -89,21 +96,52 @@ TEST(Sic, StopsWhenResidualIsNoise) {
 }
 
 TEST(Sic, RoundLimitRespected) {
-  const lora::Params p = sic_params();
-  SicOptions opt;
-  opt.max_rounds = 1;
-  Rng rng(6);
-  sim::TraceOptions topt;
-  topt.duration_s = 1.5;
-  topt.load_pps = 10.0;
-  topt.nodes = {{1, 24.0, 1500.0}, {2, 12.0, -2600.0}};
-  const sim::Trace trace = sim::build_trace(p, topt, rng);
-  SicDecoder one_round(p, opt);
-  Rng ra(7), rb(7);
-  const auto r1 = sim::evaluate(trace, one_round.decode(trace.iq, ra));
-  SicDecoder full(p);
-  const auto rf = sim::evaluate(trace, full.decode(trace.iq, rb));
-  EXPECT_LE(r1.decoded_unique, rf.decoded_unique);
+  // A power ladder: ten packets eight symbols apart, each 6 dB weaker than
+  // the one before (50 dB down to -4 dB), its preamble under the stronger
+  // one's payload. Each round uncovers exactly one more packet, so SIC
+  // stops at its six-round cap with four packets left.
+  const lora::Params p{.sf = 8, .cr = 4, .bandwidth_hz = 125e3, .osf = 8};
+  Rng rng(2);
+  const lora::Modulator mod(p);
+  const double sps = static_cast<double>(p.sps());
+  sim::Trace trace;
+  trace.params = p;
+  std::vector<IqBuffer> waves;
+  for (int k = 0; k < 10; ++k) {
+    sim::TxPacketRecord rec;
+    rec.node_id = static_cast<std::uint16_t>(k + 1);
+    rec.app_payload = sim::make_app_payload(rec.node_id, 0, 14, rng);
+    rec.start_sample = 1000.0 + k * 8.0 * sps + 0.37 * k;
+    rec.cfo_hz = 1000.0 - 300.0 * k;
+    rec.snr_db = 50.0 - 6.0 * k;
+    lora::WaveformOptions w;
+    w.frac_delay = rec.start_sample - std::floor(rec.start_sample);
+    w.cfo_hz = rec.cfo_hz;
+    w.amplitude = chan::amplitude_for_snr_db(rec.snr_db);
+    waves.push_back(mod.synthesize_shifts(
+        lora::encode_frame(lora::Coding::kPaper, p, rec.app_payload, false),
+        w));
+    rec.n_samples = waves.back().size();
+    trace.packets.push_back(rec);
+  }
+  trace.iq.assign(static_cast<std::size_t>(trace.packets.back().start_sample) +
+                      waves.back().size() + 4000,
+                  cfloat{0.0f, 0.0f});
+  for (std::size_t k = 0; k < waves.size(); ++k) {
+    const auto s0 = static_cast<std::size_t>(trace.packets[k].start_sample);
+    for (std::size_t i = 0; i < waves[k].size(); ++i) {
+      trace.iq[s0 + i] += waves[k][i];
+    }
+  }
+  trace.noise_power = chan::fullband_noise_power(p.osf);
+  chan::add_awgn(trace.iq, trace.noise_power, rng);
+
+  Rng rx_rng(7);
+  const auto result =
+      sim::evaluate(trace, SicDecoder(p).decode(trace.iq, rx_rng));
+  EXPECT_EQ(result.transmitted, 10u);
+  EXPECT_EQ(result.decoded_unique, 6u);
+  EXPECT_EQ(result.false_packets, 0u);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Property tests for the sim traffic-model layer (deployment.hpp):
 // duty-cycle budgets, ADR SF assignment, arrival-process statistics, and
-// jobs-determinism of traffic-driven experiment grids.
+// jobs-determinism of traffic-driven trace grids.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,9 +10,9 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "lora/coding.hpp"
 #include "sim/deployment.hpp"
-#include "sim/experiment.hpp"
 #include "sim/trace_builder.hpp"
 
 namespace {
@@ -238,35 +238,37 @@ TEST(Traffic, ForeignSfExcludedFromGroundTruth) {
   }
 }
 
-// The jobs-determinism contract extends to traffic + impairments: a
-// run_grid over traffic scenarios produces bit-identical Series for jobs
-// 1 and jobs 8.
+// The jobs-determinism contract extends to traffic + impairments: a grid
+// of traffic-model traces (3 models x 3 runs) fanned out over
+// common::parallel_for into pre-sized slots is bit-identical for jobs 1
+// and jobs 8.
 TEST(Traffic, GridDeterministicAcrossJobs) {
-  std::vector<sim::Scenario> scenarios;
-  for (const char* name : {"poisson", "bursty", "diurnal"}) {
-    sim::Scenario s;
-    s.params = lora::Params{.sf = 7, .cr = 4, .bandwidth_hz = 125e3, .osf = 2};
-    s.deployment = sim::indoor_deployment();
-    s.deployment.n_nodes = 4;
-    s.load_pps = 6.0;
-    s.duration_s = 1.0;
-    s.traffic = sim::parse_traffic(name);
-    s.impairments.push_back(
-        impair::parse_impairment("quantize,bits=12"));
-    scenarios.push_back(s);
-  }
-  const auto score = [](const sim::Trace& t, int, int) {
+  static constexpr const char* kModels[] = {"poisson", "bursty", "diurnal"};
+  const lora::Params params{.sf = 7, .cr = 4, .bandwidth_hz = 125e3,
+                            .osf = 2};
+  const auto cell = [&](std::size_t i) {
+    Rng rng(99 + i);
+    sim::Deployment dep = sim::indoor_deployment();
+    dep.n_nodes = 4;
+    sim::TraceOptions opt;
+    opt.duration_s = 1.0;
+    opt.load_pps = 6.0;
+    opt.nodes = dep.draw_nodes(rng);
+    opt.traffic = sim::parse_traffic(kModels[i / 3]);
+    opt.impairments.push_back(impair::parse_impairment("quantize,bits=12"));
+    const sim::Trace t = sim::build_trace(params, opt, rng);
     double sum = 0.0;
     for (const cfloat& v : t.iq) sum += std::norm(v);
     return sum + static_cast<double>(t.packets.size()) +
            static_cast<double>(t.n_foreign);
   };
-  const auto s1 = sim::run_grid(scenarios, 3, 99, score, {.jobs = 1});
-  const auto s8 = sim::run_grid(scenarios, 3, 99, score, {.jobs = 8});
-  ASSERT_EQ(s1.size(), s8.size());
-  for (std::size_t i = 0; i < s1.size(); ++i) {
-    EXPECT_EQ(s1[i].values, s8[i].values) << "scenario " << i;
-  }
+  const auto run = [&](int jobs) {
+    std::vector<double> out(3 * std::size(kModels));
+    common::parallel_for(out.size(), jobs,
+                         [&](std::size_t i) { out[i] = cell(i); });
+    return out;
+  };
+  EXPECT_EQ(run(1), run(8));
 }
 
 }  // namespace

@@ -206,4 +206,6 @@ Flag fft_backend() {
               " (default: TNB_FFT_BACKEND env var, else scalar)"};
 }
 
+Flag jobs(int& n) { return {"--jobs N", number(n, 1, 1024)}; }
+
 }  // namespace tnb::cli

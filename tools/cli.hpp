@@ -107,5 +107,7 @@ Flag impair_seed(std::uint64_t& seed);
 Flag implicit_len(std::uint8_t& len);
 /// Installs the FFT backend as it parses.
 Flag fft_backend();
+/// Worker threads, 1..1024 (callers default to common::default_jobs()).
+Flag jobs(int& n);
 
 }  // namespace tnb::cli

@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
                    base::scheme_cli_list() + ", sic, all"),
        {"--antennas N", cli::number(antennas, 1u, 64u)},
        cli::implicit_len(implicit_len),
-       {"--jobs N", cli::number(jobs, 1, 1024)},
+       cli::jobs(jobs),
        {"--metrics-file FILE", cli::text(metrics_file)},
        cli::wire_format(coding), cli::fft_backend(), cli::impair(impairments),
        cli::impair_seed(impair_seed)});
@@ -117,10 +117,7 @@ int main(int argc, char** argv) {
               "false", "2nd-pass");
   if (scheme == "sic") {
     // Extension baseline (mLoRa-style), not part of the paper's set.
-    base::SicOptions sopt;
-    sopt.vanilla.coding = coding;
-    sopt.vanilla.implicit_header = implicit;
-    base::SicDecoder sic(params, sopt);
+    base::SicDecoder sic(params, implicit, coding);
     Rng rng(7);
     const auto decoded = sic.decode(trace.iq, rng);
     const auto result = sim::evaluate(trace, decoded);
