@@ -4,13 +4,13 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "channel/etu.hpp"
+#include "channel/tdl.hpp"
 
 using namespace tnb;
 
 int main() {
   bench::print_header("Fig. 19: PRR in the ETU channel", "paper Fig. 19");
-  const chan::EtuChannel etu(5.0);
+  const chan::TdlChannel etu(chan::etu_profile(), 5.0);
   const std::vector<base::Scheme> schemes = {
       base::Scheme::kCic,        base::Scheme::kCicBec,
       base::Scheme::kAlignTrack, base::Scheme::kAlignTrackBec,

@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
   std::vector<std::vector<std::uint8_t>> base_payloads;
   bench::WallTimer base_timer;
   {
-    fleet::Channelizer chan({.n_channels = n_channels, .taps = 1});
+    fleet::Channelizer chan(n_channels);
     std::vector<IqBuffer> channelized(n_channels);
     chan.push(wideband, channelized);
     for (unsigned c = 0; c < n_channels; ++c) {

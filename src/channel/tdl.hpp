@@ -1,8 +1,9 @@
 // Generic 3GPP tapped-delay-line fading channels (TS 36.101 Annex B.2).
 //
-// ETU is the profile the paper evaluates (see etu.hpp); EPA and EVA — the
-// pedestrian and vehicular siblings — are provided for sensitivity studies
-// beyond the paper (bench_channels compares all three).
+// ETU with a 5 Hz Doppler is the channel the paper evaluates (Section 8.5,
+// bench_fig19_etu); EPA and EVA — the pedestrian and vehicular siblings —
+// are provided for sensitivity studies beyond the paper (bench_channels
+// compares all three).
 #pragma once
 
 #include <vector>
@@ -23,7 +24,7 @@ TdlProfile eva_profile();  ///< Extended Vehicular A (delay spread 357 ns)
 TdlProfile etu_profile();  ///< Extended Typical Urban (delay spread 991 ns)
 
 /// Tapped-delay-line Rayleigh channel over an arbitrary profile, with
-/// Jakes Doppler. EtuChannel is equivalent to TdlChannel(etu_profile(), 5).
+/// Jakes Doppler. The paper's channel is TdlChannel(etu_profile(), 5).
 class TdlChannel final : public Channel {
  public:
   TdlChannel(TdlProfile profile, double doppler_hz,

@@ -1,8 +1,6 @@
 #include "fleet/channelizer.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <numbers>
 #include <stdexcept>
 
 #include "dsp/fft.hpp"
@@ -10,80 +8,31 @@
 namespace tnb::fleet {
 namespace {
 
-bool power_of_two(unsigned n) { return n != 0 && (n & (n - 1)) == 0; }
-
-/// Hann-windowed sinc lowpass with cutoff at the channel half-width
-/// (fs / 2 of the wideband rate N * fs), length taps * N, normalized per
-/// polyphase branch so a constant (block-held, bin-centered) input passes
-/// with unit gain — which keeps SNR estimates downstream calibrated.
-std::vector<float> prototype_filter(unsigned n, unsigned taps) {
-  const std::size_t len = static_cast<std::size_t>(n) * taps;
-  std::vector<float> h(len);
-  if (taps == 1) {
-    std::fill(h.begin(), h.end(), 1.0f);
-    return h;
+void check_channel_count(unsigned n) {
+  if (n == 0 || (n & (n - 1)) != 0 || n > 1024) {
+    throw std::invalid_argument(
+        "Channelizer: n_channels must be a power of two <= 1024");
   }
-  const double center = (static_cast<double>(len) - 1.0) / 2.0;
-  for (std::size_t i = 0; i < len; ++i) {
-    const double x = (static_cast<double>(i) - center) / static_cast<double>(n);
-    const double sinc =
-        x == 0.0 ? 1.0
-                 : std::sin(std::numbers::pi * x) / (std::numbers::pi * x);
-    const double hann =
-        0.5 - 0.5 * std::cos(2.0 * std::numbers::pi *
-                             (static_cast<double>(i) + 0.5) /
-                             static_cast<double>(len));
-    // Stored block-reversed: process_block weights input phase r of tap t
-    // with proto[t*N + r], which reaches the impulse response at delay
-    // t*N + (N-1-r) — reversing each block here makes the effective
-    // filter the smooth windowed sinc rather than a per-block-scrambled
-    // one (whose stopband would degenerate to the rectangular window's).
-    h[i / n * n + (n - 1 - i % n)] = static_cast<float>(sinc * hann);
-  }
-  // Branch-wise DC normalization: sum_t h[t*N + r] == 1 for every r.
-  for (unsigned r = 0; r < n; ++r) {
-    double s = 0.0;
-    for (unsigned t = 0; t < taps; ++t) s += h[t * n + r];
-    if (s != 0.0) {
-      for (unsigned t = 0; t < taps; ++t) {
-        h[t * n + r] = static_cast<float>(h[t * n + r] / s);
-      }
-    }
-  }
-  return h;
 }
 
 }  // namespace
-
-void ChannelizerOptions::validate() const {
-  if (!power_of_two(n_channels) || n_channels > 1024) {
-    throw std::invalid_argument(
-        "ChannelizerOptions: n_channels must be a power of two <= 1024");
-  }
-  if (taps < 1 || taps > 32) {
-    throw std::invalid_argument("ChannelizerOptions: taps must be 1..32");
-  }
-}
 
 double channel_center_offset(unsigned k, unsigned n_channels) {
   const double kk = static_cast<double>(k % n_channels);
   return kk <= n_channels / 2 ? kk : kk - static_cast<double>(n_channels);
 }
 
-Channelizer::Channelizer(ChannelizerOptions opt) : opt_(opt) {
-  opt_.validate();
-  proto_ = prototype_filter(opt_.n_channels, opt_.taps);
-  recent_.assign(static_cast<std::size_t>(opt_.n_channels) * opt_.taps,
-                 cfloat{0.0f, 0.0f});
-  work_.resize(opt_.n_channels);
+Channelizer::Channelizer(unsigned n_channels) : n_channels_(n_channels) {
+  check_channel_count(n_channels_);
+  work_.resize(n_channels_);
 }
 
 void Channelizer::push(std::span<const cfloat> wideband,
                        std::vector<IqBuffer>& out) {
-  if (out.size() != opt_.n_channels) {
+  if (out.size() != n_channels_) {
     throw std::invalid_argument("Channelizer::push: out.size() != n_channels");
   }
-  const std::size_t n = opt_.n_channels;
+  const std::size_t n = n_channels_;
   if (n == 1) {  // degenerate single-channel fleet: pure passthrough
     out[0].insert(out[0].end(), wideband.begin(), wideband.end());
     blocks_ += wideband.size();
@@ -112,25 +61,9 @@ void Channelizer::push(std::span<const cfloat> wideband,
 }
 
 void Channelizer::process_block(const cfloat* block, std::vector<IqBuffer>& out) {
-  const std::size_t n = opt_.n_channels;
+  const std::size_t n = n_channels_;
   const float inv_n = 1.0f / static_cast<float>(n);
-  if (opt_.taps == 1) {
-    std::copy(block, block + n, work_.begin());
-  } else {
-    // Slide the block history (oldest first) and filter each polyphase
-    // branch: v[r] = sum_t h[t*N + r] * w[(m-t)*N + r], newest block t = 0.
-    const std::size_t taps = opt_.taps;
-    std::copy(recent_.begin() + static_cast<std::ptrdiff_t>(n), recent_.end(),
-              recent_.begin());
-    std::copy(block, block + n, recent_.end() - static_cast<std::ptrdiff_t>(n));
-    for (std::size_t r = 0; r < n; ++r) {
-      cfloat acc{0.0f, 0.0f};
-      for (std::size_t t = 0; t < taps; ++t) {
-        acc += proto_[t * n + r] * recent_[(taps - 1 - t) * n + r];
-      }
-      work_[r] = acc;
-    }
-  }
+  std::copy(block, block + n, work_.begin());
   // One N-point DFT separates the channels; the mixing phase is
   // block-periodic (e^{-j 2 pi k (mN + r) / N} = e^{-j 2 pi k r / N}), so
   // no per-block phase correction is needed.
@@ -142,9 +75,7 @@ void Channelizer::process_block(const cfloat* block, std::vector<IqBuffer>& out)
 }
 
 IqBuffer mix_channels(std::span<const IqBuffer> channels, unsigned n_channels) {
-  ChannelizerOptions opt;
-  opt.n_channels = n_channels;
-  opt.validate();
+  check_channel_count(n_channels);
   if (channels.size() > n_channels) {
     throw std::invalid_argument("mix_channels: more channels than n_channels");
   }
@@ -172,39 +103,6 @@ IqBuffer mix_channels(std::span<const IqBuffer> channels, unsigned n_channels) {
     }
   }
   return wideband;
-}
-
-ChannelSplitter::ChannelSplitter(stream::ChunkSource& wideband,
-                                 ChannelizerOptions opt,
-                                 std::size_t wideband_chunk_samples)
-    : src_(&wideband),
-      chan_(opt),
-      chunk_samples_(std::max<std::size_t>(wideband_chunk_samples, 1)),
-      buffered_(opt.n_channels),
-      read_(opt.n_channels, 0) {}
-
-std::size_t ChannelSplitter::next_for(unsigned channel, IqBuffer& out,
-                                      std::size_t max_samples) {
-  out.clear();
-  if (channel >= chan_.n_channels() || max_samples == 0) return 0;
-  IqBuffer& buf = buffered_[channel];
-  std::size_t& rd = read_[channel];
-  while (buf.size() - rd == 0 && !eof_) {
-    if (src_->next(scratch_, chunk_samples_) == 0) {
-      eof_ = true;
-      break;
-    }
-    chan_.push(scratch_, buffered_);
-  }
-  const std::size_t take = std::min(max_samples, buf.size() - rd);
-  out.assign(buf.begin() + static_cast<std::ptrdiff_t>(rd),
-             buf.begin() + static_cast<std::ptrdiff_t>(rd + take));
-  rd += take;
-  if (rd == buf.size()) {  // fully drained: reclaim the channel buffer
-    buf.clear();
-    rd = 0;
-  }
-  return out.size();
 }
 
 }  // namespace tnb::fleet

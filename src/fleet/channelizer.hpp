@@ -1,24 +1,20 @@
-// Critically-sampled DFT polyphase channelizer — the fleet's wideband
-// front end (tnb::fleet, DESIGN.md "Gateway fleet").
+// Critically-sampled block-DFT channelizer — the fleet's wideband front
+// end (tnb::fleet, DESIGN.md "Gateway fleet").
 //
 // A real gateway digitizes one wideband stream covering N adjacent LoRa
 // channels at Fs = N x fs (fs = per-channel rate, bandwidth x OSF) and
 // splits it into N baseband streams. Channel k is centered at k * fs with
 // FFT bin wrapping: indices above N/2 alias to negative frequencies, so
 // channel 0 sits at DC and channel N/2 at the band edge. Each block of N
-// wideband samples yields exactly one output sample per channel: the
-// polyphase branches filter the block history with a prototype lowpass,
-// then one N-point DFT separates the channels.
+// wideband samples yields exactly one output sample per channel: one
+// N-point DFT of the block separates the channels.
 //
-// With taps == 1 the prototype is the rectangular window and the analysis
-// is the exact inverse (to float rounding) of mix_channels' block-DFT
-// synthesis — the property the fleet's ground-truth differential tests
-// stand on. taps > 1 selects a Hann-windowed-sinc prototype that trades
-// exact reconstruction for adjacent-channel rejection on real captures
-// (tests/test_channelizer.cpp pins the leakage tolerance).
+// The analysis is the exact inverse (to float rounding) of mix_channels'
+// block-DFT synthesis — the property the fleet's ground-truth differential
+// tests stand on.
 //
 // A wideband stream rarely ends on a block boundary; the sub-block tail is
-// dropped and reported via partial_tail_samples(), mirroring the sticky
+// dropped and reported via pending_samples(), mirroring the sticky
 // torn-pair semantics of stream::IstreamSource one level up.
 #pragma once
 
@@ -27,20 +23,8 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "stream/chunk_source.hpp"
 
 namespace tnb::fleet {
-
-struct ChannelizerOptions {
-  /// Channels across the wideband input; must be a power of two (the
-  /// separating DFT runs on the shared dsp::fft_plan cache).
-  unsigned n_channels = 8;
-  /// Polyphase prototype taps per branch: 1 = rectangular (perfect
-  /// reconstruction of block-aligned synthesis), >1 = Hann-windowed sinc.
-  unsigned taps = 1;
-
-  void validate() const;
-};
 
 /// Center frequency of channel k relative to the wideband center, in units
 /// of the per-channel sample rate fs (k > N/2 wraps negative).
@@ -48,10 +32,11 @@ double channel_center_offset(unsigned k, unsigned n_channels);
 
 class Channelizer {
  public:
-  explicit Channelizer(ChannelizerOptions opt);
+  /// `n_channels` must be a power of two <= 1024 (the separating DFT runs
+  /// on the shared dsp::fft_plan cache).
+  explicit Channelizer(unsigned n_channels);
 
-  unsigned n_channels() const { return opt_.n_channels; }
-  const ChannelizerOptions& options() const { return opt_; }
+  unsigned n_channels() const { return n_channels_; }
 
   /// Consumes wideband samples and appends each channel's new baseband
   /// samples to out[k]; out.size() must equal n_channels(). Block assembly
@@ -69,65 +54,17 @@ class Channelizer {
  private:
   void process_block(const cfloat* block, std::vector<IqBuffer>& out);
 
-  ChannelizerOptions opt_;
-  std::vector<float> proto_;  ///< prototype filter, taps x N, time-major
-  IqBuffer pending_;          ///< sub-block wideband tail
-  IqBuffer recent_;           ///< last `taps` blocks, oldest first
-  IqBuffer work_;             ///< N-point DFT scratch
+  unsigned n_channels_;
+  IqBuffer pending_;  ///< sub-block wideband tail
+  IqBuffer work_;     ///< N-point DFT scratch
   std::size_t blocks_ = 0;
 };
 
-/// Exact synthesis inverse of the taps == 1 analysis: sample m of channel k
-/// is held for one wideband block and mixed to center k * fs, i.e.
+/// Exact synthesis inverse of the Channelizer analysis: sample m of channel
+/// k is held for one wideband block and mixed to center k * fs, i.e.
 /// w[m*N + r] = sum_k x_k[m] * e^{+j 2 pi k r / N}. Shorter channels are
 /// zero-padded to the longest; channels.size() must not exceed n_channels
 /// (missing channels transmit silence).
 IqBuffer mix_channels(std::span<const IqBuffer> channels, unsigned n_channels);
-
-/// Pulls one wideband ChunkSource through a shared Channelizer and buffers
-/// per-channel output for the ChannelSource views below. Intended for
-/// consumers that drain all channels at a similar pace (the buffered lead
-/// of any channel is bounded by what the laggard has not read yet).
-class ChannelSplitter {
- public:
-  ChannelSplitter(stream::ChunkSource& wideband, ChannelizerOptions opt,
-                  std::size_t wideband_chunk_samples = 1 << 16);
-
-  unsigned n_channels() const { return chan_.n_channels(); }
-
-  /// Fills `out` with up to max_samples of channel k, pumping the wideband
-  /// source as needed. Returns out.size(); 0 = wideband end of stream and
-  /// channel k fully drained.
-  std::size_t next_for(unsigned channel, IqBuffer& out,
-                       std::size_t max_samples);
-
-  const Channelizer& channelizer() const { return chan_; }
-
- private:
-  stream::ChunkSource* src_;
-  Channelizer chan_;
-  std::size_t chunk_samples_;
-  std::vector<IqBuffer> buffered_;  ///< per-channel, not yet handed out
-  std::vector<std::size_t> read_;   ///< consumed prefix of buffered_[k]
-  IqBuffer scratch_;
-  bool eof_ = false;
-};
-
-/// One channel of a ChannelSplitter as a stream::ChunkSource — a fleet lane
-/// (or a plain StreamingReceiver) can consume a single channel of a
-/// wideband capture through the ordinary chunked-source interface.
-class ChannelSource final : public stream::ChunkSource {
- public:
-  ChannelSource(ChannelSplitter& splitter, unsigned channel)
-      : splitter_(&splitter), channel_(channel) {}
-
-  std::size_t next(IqBuffer& out, std::size_t max_samples) override {
-    return splitter_->next_for(channel_, out, max_samples);
-  }
-
- private:
-  ChannelSplitter* splitter_;
-  unsigned channel_;
-};
 
 }  // namespace tnb::fleet

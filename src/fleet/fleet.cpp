@@ -56,7 +56,7 @@ std::string FleetStats::to_json() const {
 Fleet::Fleet(lora::Params base, FleetOptions opt)
     : base_(base),
       opt_(std::move(opt)),
-      chan_(ChannelizerOptions{opt_.n_channels, opt_.taps}),
+      chan_(opt_.n_channels),
       ledger_(opt_.receiver.metrics) {
   base_.validate();
   if (opt_.sfs.empty()) {
@@ -88,10 +88,9 @@ Fleet::Fleet(lora::Params base, FleetOptions opt)
       lane->info.channel = c;
       lane->info.sf = sf;
       lane->info.window_samples = lane->rx.options().window_symbols * p.sps();
-      const unsigned idx = static_cast<unsigned>(lanes_.size());
       lane->rx.set_packet_callback(
-          [this, c, sf, idx](const sim::DecodedPacket& pkt) {
-            ledger_.append(LedgerEntry{c, sf, idx, pkt.start_sample, pkt});
+          [this, c, sf](const sim::DecodedPacket& pkt) {
+            ledger_.append(LedgerEntry{c, sf, pkt});
           });
       if (reg != nullptr) {
         lane->queue_depth =

@@ -14,8 +14,8 @@
 // every lane decodes exactly as a standalone StreamingReceiver fed the
 // same channel stream — scheduling affects wall clock, never output.
 // Decoded packets are appended to the PacketLedger tagged with
-// (channel, SF, lane, t0); after finish() the ledger freezes into its
-// canonical (t0, channel) order, identical for every lane count and
+// (channel, SF); after finish() the ledger freezes into its canonical
+// (start sample, channel) order, identical for every lane count and
 // chunk size.
 #pragma once
 
@@ -39,7 +39,7 @@
 namespace tnb::fleet {
 
 struct FleetOptions {
-  /// Channels in the wideband input (power of two, see ChannelizerOptions).
+  /// Channels in the wideband input (power of two, see Channelizer).
   unsigned n_channels = 8;
   /// One lane per (channel, SF): every channel is decoded at each of these
   /// spreading factors in parallel, the way a real gateway listens on
@@ -53,8 +53,6 @@ struct FleetOptions {
   std::size_t dispatch_samples = 0;
   /// Bounded per-lane queue, in chunks; the producer blocks when full.
   std::size_t lane_queue_chunks = 4;
-  /// Channelizer prototype taps (1 = exact block-DFT reconstruction).
-  unsigned taps = 1;
   /// Per-lane streaming configuration (window, rng_seed, ...).
   /// keep_packets is forced off — the ledger owns the packets.
   stream::StreamingOptions stream;

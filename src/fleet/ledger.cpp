@@ -7,8 +7,8 @@
 namespace tnb::fleet {
 
 bool ledger_entry_less(const LedgerEntry& a, const LedgerEntry& b) {
-  return std::tie(a.t0, a.channel, a.sf, a.pkt.payload) <
-         std::tie(b.t0, b.channel, b.sf, b.pkt.payload);
+  return std::tie(a.pkt.start_sample, a.channel, a.sf, a.pkt.payload) <
+         std::tie(b.pkt.start_sample, b.channel, b.sf, b.pkt.payload);
 }
 
 PacketLedger::PacketLedger(obs::Registry* metrics) {

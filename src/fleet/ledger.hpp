@@ -1,13 +1,14 @@
 // Merged packet ledger of a gateway fleet (tnb::fleet).
 //
 // Every lane's decoded packets land here, tagged with where they came from
-// — (channel, SF, lane) — and when: t0 is the packet's detected start in
+// — (channel, SF). pkt.start_sample is the packet's detected start in
 // channel-rate samples, which all lanes share (fs is SF-independent), so
 // entries from different channels and SFs order on one common clock.
 // Appends are thread-safe (lanes run on fleet workers); finalize() freezes
 // the ledger into the canonical deterministic order, sorted by
-// (t0, channel, sf, payload), which is identical for every lane count,
-// chunk size, and scheduling interleaving (DESIGN.md "Gateway fleet").
+// (start_sample, channel, sf, payload), which is identical for every lane
+// count, chunk size, and scheduling interleaving (DESIGN.md "Gateway
+// fleet").
 #pragma once
 
 #include <cstddef>
@@ -22,12 +23,10 @@ namespace tnb::fleet {
 struct LedgerEntry {
   unsigned channel = 0;
   unsigned sf = 0;
-  unsigned lane = 0;       ///< lane index in fleet order (channel-major)
-  double t0 = 0.0;         ///< == pkt.start_sample, channel-rate samples
   sim::DecodedPacket pkt;
 };
 
-/// Canonical ledger order: (t0, channel, sf, payload bytes).
+/// Canonical ledger order: (pkt.start_sample, channel, sf, payload bytes).
 bool ledger_entry_less(const LedgerEntry& a, const LedgerEntry& b);
 
 class PacketLedger {

@@ -596,13 +596,13 @@ IqBuffer arbitrary_iq(FuzzInput& in, std::size_t n) {
   return iq;
 }
 
-/// Pushes `iq` through a fresh taps == 1 Channelizer at fuzz-chosen chunk
-/// boundaries and returns the per-channel output.
+/// Pushes `iq` through a fresh Channelizer at fuzz-chosen chunk boundaries
+/// and returns the per-channel output.
 std::vector<IqBuffer> channelize_chunked(FuzzInput& in,
                                          std::span<const cfloat> iq,
                                          unsigned n_channels,
                                          std::size_t* pending = nullptr) {
-  fleet::Channelizer chan({.n_channels = n_channels, .taps = 1});
+  fleet::Channelizer chan(n_channels);
   std::vector<IqBuffer> out(n_channels);
   std::size_t pos = 0;
   while (pos < iq.size()) {
@@ -645,7 +645,7 @@ void oracle_channelizer_roundtrip(FuzzInput& in) {
                "wideband chunking changed channel output");
     for (std::size_t m = 0; m < blocks; ++m) {
       TNB_ORACLE(std::abs(out_a[k][m] - channels[k][m]) < 1e-3f,
-                 "taps == 1 analysis did not invert mix_channels");
+                 "analysis did not invert mix_channels");
     }
   }
 }
@@ -660,7 +660,6 @@ void oracle_fleet_differential(FuzzInput& in) {
   fleet::FleetOptions fopt;
   fopt.n_channels = n_channels;
   fopt.sfs = {p.sf};
-  fopt.taps = 1;
   fopt.dispatch_samples = static_cast<std::size_t>(in.uniform(64, 2048));
   fopt.lane_queue_chunks = static_cast<std::size_t>(in.uniform(1, 4));
   fopt.stream.max_packet_symbols = 64;
@@ -692,7 +691,8 @@ void oracle_fleet_differential(FuzzInput& in) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     TNB_ORACLE(a[i].channel == b[i].channel && a[i].sf == b[i].sf,
                "ledger entry origin mismatch");
-    TNB_ORACLE(a[i].t0 == b[i].t0, "ledger entry t0 mismatch");
+    TNB_ORACLE(a[i].pkt.start_sample == b[i].pkt.start_sample,
+               "ledger entry start mismatch");
     TNB_ORACLE(a[i].pkt.payload == b[i].pkt.payload,
                "ledger entry payload mismatch");
   }

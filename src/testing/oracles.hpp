@@ -95,10 +95,10 @@ void oracle_chunk_source_truncation(FuzzInput& in);
 void oracle_streaming_chunk_invariance(FuzzInput& in);
 
 // ---- fleet::Channelizer / fleet::Fleet ----
-/// taps == 1 analysis inverts mix_channels to float rounding, the output
-/// is bit-identical for any two wideband chunkings, and a sub-block tail
-/// is sticky: counted in pending_samples(), never emitted (the
-/// IstreamSource torn-pair semantics one level up).
+/// The analysis inverts mix_channels to float rounding, the output is
+/// bit-identical for any two wideband chunkings, and a sub-block tail is
+/// sticky: counted in pending_samples(), never emitted (the IstreamSource
+/// torn-pair semantics one level up).
 void oracle_channelizer_roundtrip(FuzzInput& in);
 /// Fleet differential: a multi-lane fleet over arbitrary wideband IQ
 /// produces exactly the ledger of a single-lane fleet fed the same stream

@@ -5,8 +5,9 @@ tnb_streamd, and of the benches that take --jobs.
     python3 cli_smoke.py TNB_GEN TNB_EVAL TNB_STREAMD WORKDIR [BENCH...]
 
 --help exits 0 with the usage on stdout (tnb_eval's lists every scheme);
-each bad value exits 2 with "<tool>: <flag>:" on stderr; the unknown-scheme
-and unknown-backend messages keep the text CI greps for; and a tiny
+each bad value exits 2 with "<tool>: <flag>:" on stderr; an unknown flag
+(tnb_streamd --taps) exits 2 naming it; the unknown-scheme and
+unknown-backend messages keep the text CI greps for; and a tiny
 gen -> eval -> streamd round trip still decodes. Each BENCH is only
 parsed, never run: --help, and a bad or missing --jobs value.
 """
@@ -78,6 +79,11 @@ def main():
         shown = args if tool in benches else args[2:]  # drop --in/--out
         expect(r.returncode == 2 and f"{name}: {flag}:" in r.stderr,
                f"{name} {' '.join(shown)}", r)
+
+    # --taps is not a flag: the fleet's channelizer has one exact regime.
+    r = run([sd, "--in", trace, "--taps", "4"])
+    expect(r.returncode == 2 and "'--taps'" in r.stderr,
+           "tnb_streamd --taps 4", r)
 
     r = run([ev, "--in", prefix, "--sf", "7", "--scheme", "nope"])
     expect(r.returncode == 2 and "unknown scheme 'nope'" in r.stderr

@@ -1,6 +1,6 @@
-// Fuzz harness: gateway fleet. The channelizer round trip (taps == 1
-// analysis inverts mix_channels, chunking invariance, sticky sub-block
-// tail — the IstreamSource torn-pair semantics one level up) and the fleet
+// Fuzz harness: gateway fleet. The channelizer round trip (the analysis
+// inverts mix_channels, chunking invariance, sticky sub-block tail — the
+// IstreamSource torn-pair semantics one level up) and the fleet
 // differential: multi-lane scheduling over arbitrary wideband IQ must
 // reproduce the single-lane ledger entry for entry.
 #include <cstddef>

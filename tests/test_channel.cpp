@@ -3,8 +3,8 @@
 #include <cmath>
 
 #include "channel/awgn.hpp"
-#include "channel/etu.hpp"
 #include "channel/fading.hpp"
+#include "channel/tdl.hpp"
 #include "common/math_util.hpp"
 #include "common/rng.hpp"
 
@@ -105,7 +105,7 @@ TEST(Jakes, DecorrelatesOverLongTimes) {
 
 TEST(Etu, PreservesAveragePower) {
   Rng rng(8);
-  EtuChannel ch(5.0);
+  TdlChannel ch(etu_profile(), 5.0);
   double pin = 0.0, pout = 0.0;
   for (int r = 0; r < 20; ++r) {
     IqBuffer buf(20000, cfloat{1.0f, 0.0f});
@@ -120,7 +120,7 @@ TEST(Etu, PreservesAveragePower) {
 TEST(Etu, IntroducesDelaySpread) {
   // An impulse through ETU must produce energy at the 5 us tap.
   Rng rng(9);
-  EtuChannel ch(5.0);
+  TdlChannel ch(etu_profile(), 5.0);
   bool found_late_energy = false;
   for (int r = 0; r < 10 && !found_late_energy; ++r) {
     IqBuffer buf(16, cfloat{0.0f, 0.0f});
@@ -134,7 +134,7 @@ TEST(Etu, IntroducesDelaySpread) {
 
 TEST(Etu, OutputDiffersAcrossRealizations) {
   Rng rng(10);
-  EtuChannel ch(5.0);
+  TdlChannel ch(etu_profile(), 5.0);
   IqBuffer a(100, cfloat{1.0f, 0.0f});
   IqBuffer b(100, cfloat{1.0f, 0.0f});
   ch.apply(a, 1e6, rng);
@@ -146,7 +146,7 @@ TEST(Etu, OutputDiffersAcrossRealizations) {
 
 TEST(Etu, EmptyBufferIsSafe) {
   Rng rng(11);
-  EtuChannel ch(5.0);
+  TdlChannel ch(etu_profile(), 5.0);
   IqBuffer empty;
   ch.apply(empty, 1e6, rng);  // must not crash
   EXPECT_TRUE(empty.empty());

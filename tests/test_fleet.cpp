@@ -39,14 +39,14 @@ sim::TraceOptions traffic(double duration_s, double load_pps) {
 /// The composite stimulus plus its channelized per-channel ground truth.
 struct Composite {
   IqBuffer wideband;
-  std::vector<IqBuffer> channels;  ///< offline taps == 1 channelizer output
+  std::vector<IqBuffer> channels;  ///< offline channelizer output
 };
 
 Composite make_composite(const std::vector<IqBuffer>& per_channel,
                          unsigned n_channels) {
   Composite c;
   c.wideband = mix_channels(per_channel, n_channels);
-  Channelizer chan({.n_channels = n_channels, .taps = 1});
+  Channelizer chan(n_channels);
   c.channels.resize(n_channels);
   chan.push(c.wideband, c.channels);
   return c;
@@ -231,17 +231,16 @@ TEST(Fleet, LedgerOrderIsDeterministicAcrossSchedules) {
     for (std::size_t j = 0; j < ledgers[0].size(); ++j) {
       EXPECT_EQ(ledgers[i][j].channel, ledgers[0][j].channel);
       EXPECT_EQ(ledgers[i][j].sf, ledgers[0][j].sf);
-      EXPECT_EQ(ledgers[i][j].t0, ledgers[0][j].t0);
+      EXPECT_EQ(ledgers[i][j].pkt.start_sample,
+                ledgers[0][j].pkt.start_sample);
       EXPECT_EQ(ledgers[i][j].pkt.payload, ledgers[0][j].pkt.payload);
     }
   }
-  // Canonical order: sorted by (t0, channel), lane tag matches the
-  // channel-major lane layout.
+  // Canonical order: sorted by (start sample, channel).
   const auto& led = ledgers[0];
   for (std::size_t j = 0; j + 1 < led.size(); ++j) {
     EXPECT_FALSE(ledger_entry_less(led[j + 1], led[j])) << "entry " << j;
   }
-  for (const auto& e : led) EXPECT_EQ(e.lane, e.channel);  // one SF per channel
 }
 
 TEST(Fleet, FleetOfOneMatchesStreamingReceiver) {
@@ -272,7 +271,6 @@ TEST(Fleet, FleetOfOneMatchesStreamingReceiver) {
   for (const auto& e : fleet.ledger()) {
     EXPECT_EQ(e.channel, 0u);
     EXPECT_EQ(e.sf, p.sf);
-    EXPECT_EQ(e.t0, e.pkt.start_sample);
     got.push_back(e.pkt);
   }
   EXPECT_EQ(payload_multiset(got), payload_multiset(srx.packets()));

@@ -64,7 +64,7 @@ TEST(FleetSoak, BoundedMemoryAndZeroLossUnderSustainedLoad) {
 
   // Per-channel ground truth from the same channelized signal the lanes
   // will see.
-  Channelizer chan({.n_channels = n_channels, .taps = 1});
+  Channelizer chan(n_channels);
   std::vector<IqBuffer> channelized(n_channels);
   chan.push(wideband, channelized);
   rx::Receiver oneshot(p);

@@ -17,11 +17,11 @@
 //
 // --channels N > 1 switches to the gateway-fleet pipeline (tnb::fleet):
 // the input is an interleaved N-channel wideband stream at N x OSF x BW
-// (the format tnb_gen --channels writes), split by the polyphase
+// (the format tnb_gen --channels writes), split by the block-DFT
 // channelizer into per-channel streams and decoded by one StreamingReceiver
 // lane per (channel, SF in --sfs) on --lanes workers. Decoded packets
 // print (with channel/SF tags) from the merged ledger after the stream
-// ends, in the canonical (t0, channel) order; the periodic `stats` line
+// ends, in the canonical (start, channel) order; the periodic `stats` line
 // carries FleetStats::to_json plus the ring counters. The single-channel
 // path is untouched by these flags.
 //
@@ -73,6 +73,27 @@ namespace {
 std::mutex g_stats_mu;
 std::atomic<bool> g_done{false};  ///< final stats line already emitted
 
+/// Prints one decoded packet as a `pkt` line: node/seq for an application
+/// payload, the hex payload otherwise. A fleet packet's `origin` adds its
+/// channel and SF after the start time.
+void print_pkt(const tnb::sim::DecodedPacket& pkt, double fs,
+               const tnb::fleet::LedgerEntry* origin = nullptr) {
+  std::printf("pkt t=%.4fs", pkt.start_sample / fs);
+  if (origin != nullptr) {
+    std::printf(" ch=%u sf=%u", origin->channel, origin->sf);
+  }
+  std::uint16_t node = 0, seq = 0;
+  const bool app = tnb::sim::parse_app_payload(pkt.payload, node, seq);
+  if (app) std::printf(" node=%u seq=%u", node, seq);
+  std::printf(" snr=%.1fdB cfo=%.0fHz len=%zu", pkt.snr_db, pkt.cfo_hz,
+              pkt.payload.size());
+  if (!app) {
+    std::printf(" payload=");
+    for (std::uint8_t b : pkt.payload) std::printf("%02x", b);
+  }
+  std::printf("\n");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -87,7 +108,7 @@ int main(int argc, char** argv) {
   bool realtime = false, drop = false, quiet = false;
   lora::Coding coding = lora::Coding::kPaper;
   std::uint8_t implicit_len = 0;
-  unsigned n_channels = 1, taps = 1;
+  unsigned n_channels = 1;
   int lanes = 1;
   std::vector<unsigned> fleet_sfs;
   std::vector<impair::ImpairmentConfig> impairments;
@@ -115,8 +136,7 @@ int main(int argc, char** argv) {
        {"--quiet", cli::set(quiet)}, cli::wire_format(coding),
        {"--channels N", cli::number(n_channels, 1u, 1024u)},
        {"--sfs LIST", cli::numbers(fleet_sfs, 5, 12)},
-       {"--lanes J", cli::number(lanes, 0, 1024)},
-       {"--taps N", cli::number(taps, 1u, 32u)}, cli::fft_backend(),
+       {"--lanes J", cli::number(lanes, 0, 1024)}, cli::fft_backend(),
        cli::impair(impairments), cli::impair_seed(impair_seed)});
   if (const auto status = cli.run(argc, argv)) return *status;
   const bool fleet_mode = n_channels > 1;
@@ -154,7 +174,6 @@ int main(int argc, char** argv) {
     fopt.sfs = fleet_sfs.empty() ? std::vector<unsigned>{params.sf}
                                  : fleet_sfs;
     fopt.lanes = lanes;
-    fopt.taps = taps;
     fopt.stream = sopt;
     fopt.receiver = ropt;
     try {
@@ -167,19 +186,7 @@ int main(int argc, char** argv) {
     receiver.emplace(params, ropt, sopt);
     receiver->set_packet_callback([&](const sim::DecodedPacket& pkt) {
       if (quiet) return;
-      std::uint16_t node = 0, seq = 0;
-      if (sim::parse_app_payload(pkt.payload, node, seq)) {
-        std::printf(
-            "pkt t=%.4fs node=%u seq=%u snr=%.1fdB cfo=%.0fHz len=%zu\n",
-            pkt.start_sample / fs, node, seq, pkt.snr_db, pkt.cfo_hz,
-            pkt.payload.size());
-      } else {
-        std::printf("pkt t=%.4fs snr=%.1fdB cfo=%.0fHz len=%zu payload=",
-                    pkt.start_sample / fs, pkt.snr_db, pkt.cfo_hz,
-                    pkt.payload.size());
-        for (std::uint8_t b : pkt.payload) std::printf("%02x", b);
-        std::printf("\n");
-      }
+      print_pkt(pkt, fs);
       std::fflush(stdout);
     });
   }
@@ -319,25 +326,10 @@ int main(int argc, char** argv) {
     std::size_t decoded = 0;
     if (fleet_mode) {
       // The ledger freezes at finish(); print it in its canonical
-      // (t0, channel) order — identical for every lane count.
+      // (start, channel) order — identical for every lane count.
       for (const auto& e : gw->ledger()) {
         ++decoded;
-        if (quiet) continue;
-        std::uint16_t node = 0, seq = 0;
-        if (sim::parse_app_payload(e.pkt.payload, node, seq)) {
-          std::printf(
-              "pkt t=%.4fs ch=%u sf=%u node=%u seq=%u snr=%.1fdB "
-              "cfo=%.0fHz len=%zu\n",
-              e.t0 / fs, e.channel, e.sf, node, seq, e.pkt.snr_db,
-              e.pkt.cfo_hz, e.pkt.payload.size());
-        } else {
-          std::printf("pkt t=%.4fs ch=%u sf=%u snr=%.1fdB cfo=%.0fHz "
-                      "len=%zu payload=",
-                      e.t0 / fs, e.channel, e.sf, e.pkt.snr_db, e.pkt.cfo_hz,
-                      e.pkt.payload.size());
-          for (std::uint8_t b : e.pkt.payload) std::printf("%02x", b);
-          std::printf("\n");
-        }
+        if (!quiet) print_pkt(e.pkt, fs, &e);
       }
     } else {
       decoded = receiver->stats().packets_emitted;
