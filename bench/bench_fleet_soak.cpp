@@ -123,8 +123,7 @@ int main(int argc, char** argv) {
 
   const fleet::FleetStats st = fleet.stats();
   const double sps = static_cast<double>(wideband.size());
-  std::printf("packets=%zu steals=%zu agree=%s\n", st.packets, st.steals,
-              agree ? "yes" : "no");
+  std::printf("packets=%zu agree=%s\n", st.packets, agree ? "yes" : "no");
   std::printf("resident_iq_high_water=%zu resident_iq_bound=%zu bounded=%s\n",
               st.resident_iq_high_water, st.resident_iq_bound,
               st.resident_iq_high_water <= st.resident_iq_bound ? "yes" : "no");

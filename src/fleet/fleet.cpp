@@ -1,6 +1,7 @@
 #include "fleet/fleet.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -8,6 +9,14 @@
 #include "obs/json.hpp"
 
 namespace tnb::fleet {
+namespace {
+
+/// Chunk handed to a lane, in symbols of the largest configured SF.
+constexpr std::size_t kDispatchSymbols = 16;
+/// Bounded per-lane queue, in chunks; the producer blocks when full.
+constexpr std::size_t kLaneQueueChunks = 4;
+
+}  // namespace
 
 std::string FleetStats::to_json() const {
   obs::JsonWriter w;
@@ -22,7 +31,6 @@ std::string FleetStats::to_json() const {
   w.field("wideband_blocks", wideband_blocks);
   w.field("partial_tail_samples", partial_tail_samples);
   w.field("chunks_dispatched", chunks_dispatched);
-  w.field("steals", steals);
   w.field("resident_iq_samples", resident_iq_samples);
   w.field("resident_iq_high_water", resident_iq_high_water);
   w.field("resident_iq_bound", resident_iq_bound);
@@ -64,10 +72,8 @@ Fleet::Fleet(lora::Params base, FleetOptions opt)
   }
   unsigned max_sf = 0;
   for (unsigned sf : opt_.sfs) max_sf = std::max(max_sf, sf);
-  dispatch_samples_ = opt_.dispatch_samples != 0
-                          ? opt_.dispatch_samples
-                          : 16 * (std::size_t{1} << max_sf) * base_.osf;
-  opt_.lane_queue_chunks = std::max<std::size_t>(opt_.lane_queue_chunks, 1);
+  dispatch_samples_ =
+      kDispatchSymbols * (std::size_t{1} << max_sf) * base_.osf;
   staging_.resize(opt_.n_channels);
 
   const std::size_t n_lanes =
@@ -102,18 +108,17 @@ Fleet::Fleet(lora::Params base, FleetOptions opt)
   }
 
   // Backpressure ceiling: per lane, the assembly window peaks below 2W
-  // (StreamingReceiver invariant) and the queue holds lane_queue_chunks
+  // (StreamingReceiver invariant) and the queue holds kLaneQueueChunks
   // chunks plus the one in flight.
   resident_bound_ = 0;
   for (const auto& lane : lanes_) {
     resident_bound_ += 2 * lane->info.window_samples +
-                       (opt_.lane_queue_chunks + 1) * dispatch_samples_;
+                       (kLaneQueueChunks + 1) * dispatch_samples_;
   }
 
   n_workers_ = static_cast<unsigned>(std::clamp<std::size_t>(
       static_cast<std::size_t>(common::resolve_jobs(opt_.lanes)), 1,
       lanes_.size()));
-  steals_.assign(n_workers_, 0);
   if (reg != nullptr) {
     obs_.wideband_samples_in = reg->counter(
         "tnb_fleet_wideband_samples_in_total", "Wideband IQ samples ingested");
@@ -127,18 +132,12 @@ Fleet::Fleet(lora::Params base, FleetOptions opt)
     obs_.resident_iq_high_water =
         reg->gauge("tnb_fleet_resident_iq_high_water_samples",
                    "High-water mark of resident IQ samples");
-    obs_.steals.reserve(n_workers_);
-    for (unsigned wkr = 0; wkr < n_workers_; ++wkr) {
-      obs_.steals.push_back(
-          reg->counter("tnb_fleet_steals_total", "Lanes run by a foreign worker",
-                       {{"worker", std::to_string(wkr)}}));
-    }
   }
 
-  pool_ = std::make_unique<common::ThreadPool>(static_cast<int>(n_workers_));
-  for (unsigned wkr = 0; wkr < n_workers_; ++wkr) {
-    pool_->submit([this, wkr] { worker_loop(wkr); });
-  }
+  // A lane has at most one task queued or running, so submit() never
+  // blocks on the pool's queue.
+  pool_ = std::make_unique<common::ThreadPool>(static_cast<int>(n_workers_),
+                                               lanes_.size());
 }
 
 Fleet::~Fleet() {
@@ -146,8 +145,8 @@ Fleet::~Fleet() {
     try {
       finish();
     } catch (...) {
-      // A lane's decode exception was already delivered (or is undeliverable
-      // from a destructor); the workers have wound down either way.
+      // A lane's decode exception is undeliverable from a destructor; the
+      // other lanes have finished either way.
     }
   }
 }
@@ -171,20 +170,71 @@ void Fleet::resident_sub(std::size_t n) {
 }
 
 void Fleet::enqueue(Lane& lane, IqBuffer chunk) {
-  const std::size_t n = chunk.size();
+  bool idle = false;
   {
     std::unique_lock<std::mutex> lk(mu_);
     cv_space_.wait(lk, [&] {
-      return lane.q.size() < opt_.lane_queue_chunks || lane.finished;
+      return lane.q.size() < kLaneQueueChunks || lane.failed;
     });
-    if (lane.finished) return;  // lane died mid-run; drop, don't deadlock
+    if (lane.failed) return;  // lane died mid-run; drop, don't deadlock
+    // Counted before the chunk is visible, so a drain never releases IQ
+    // that was not yet added.
+    resident_add(chunk.size());
     lane.q.push_back(std::move(chunk));
     ++chunks_dispatched_;
     lane.queue_depth.set(static_cast<std::int64_t>(lane.q.size()));
+    idle = !std::exchange(lane.scheduled, true);
   }
   obs_.chunks_dispatched.inc();
-  resident_add(n);
-  cv_work_.notify_one();
+  if (idle) pool_->submit([this, &lane] { drain(lane); });
+}
+
+void Fleet::drain(Lane& lane) {
+  for (;;) {
+    IqBuffer chunk;
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      if (lane.q.empty()) {
+        lane.scheduled = false;
+        return;
+      }
+      chunk = std::move(lane.q.front());
+      lane.q.pop_front();
+      lane.queue_depth.set(static_cast<std::int64_t>(lane.q.size()));
+    }
+    cv_space_.notify_all();
+    step(lane, &chunk);
+  }
+}
+
+void Fleet::step(Lane& lane, const IqBuffer* chunk) {
+  // Only this lane's one task touches rx; the snapshot is written under
+  // mu_ for concurrent stats() readers.
+  const std::size_t prev_retired = lane.snapshot.samples_retired;
+  try {
+    if (chunk != nullptr) {
+      lane.rx.push_chunk(*chunk);
+    } else {
+      lane.rx.finish();
+    }
+  } catch (...) {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      lane.failed = true;
+    }
+    cv_space_.notify_all();  // release a producer waiting on this lane
+    throw;  // delivered by ThreadPool::wait in finish()
+  }
+  stream::StreamingStats snap = lane.rx.stats();
+  std::size_t freed = snap.samples_retired - prev_retired;
+  if (chunk == nullptr) {
+    // Whatever the final flush could not retire (e.g. a trailing torn
+    // packet) leaves the window with the lane; zero the lane's share.
+    freed += snap.samples_in - snap.samples_retired;
+  }
+  resident_sub(freed);
+  std::lock_guard<std::mutex> lk(mu_);
+  lane.snapshot = std::move(snap);
 }
 
 void Fleet::dispatch_staged(unsigned channel, bool eof) {
@@ -225,12 +275,25 @@ void Fleet::finish() {
     std::lock_guard<std::mutex> lk(mu_);
     partial_tail_samples_ = chan_.pending_samples();
     wideband_blocks_ = chan_.blocks();
-    done_ = true;
   }
-  cv_work_.notify_all();
-  pool_->wait();  // rethrows the first lane exception, if any
+  // Both rounds run to the end even if a lane threw, so every healthy
+  // lane is flushed into the ledger before the first error is rethrown.
+  std::exception_ptr err;
+  const auto wait = [&] {
+    try {
+      pool_->wait();
+    } catch (...) {
+      if (!err) err = std::current_exception();
+    }
+  };
+  wait();  // every queue drained
+  for (const auto& lane : lanes_) {
+    if (!lane->failed) pool_->submit([this, &l = *lane] { step(l, nullptr); });
+  }
+  wait();
   ledger_.finalize();
   finished_ = true;
+  if (err) std::rethrow_exception(err);
 }
 
 std::size_t Fleet::consume(stream::ChunkSource& src,
@@ -266,102 +329,11 @@ FleetStats Fleet::stats() const {
   s.wideband_blocks = wideband_blocks_;
   s.partial_tail_samples = partial_tail_samples_;
   s.chunks_dispatched = chunks_dispatched_;
-  for (std::size_t st : steals_) s.steals += st;
   s.lane_stats.reserve(lanes_.size());
   for (const auto& lane : lanes_) {
     s.lane_stats.emplace_back(lane->info, lane->snapshot);
   }
   return s;
-}
-
-bool Fleet::all_lanes_finished() const {
-  for (const auto& lane : lanes_) {
-    if (!lane->finished) return false;
-  }
-  return true;
-}
-
-Fleet::Lane* Fleet::pick_lane(unsigned worker, bool* stolen) {
-  const auto runnable = [this](const Lane& lane) {
-    return !lane.claimed && !lane.finished &&
-           (!lane.q.empty() || done_);
-  };
-  for (std::size_t i = worker; i < lanes_.size(); i += n_workers_) {
-    if (runnable(*lanes_[i])) {
-      *stolen = false;
-      return lanes_[i].get();
-    }
-  }
-  for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    if (i % n_workers_ != worker && runnable(*lanes_[i])) {
-      *stolen = true;
-      return lanes_[i].get();
-    }
-  }
-  return nullptr;
-}
-
-void Fleet::worker_loop(unsigned worker) {
-  for (;;) {
-    Lane* lane = nullptr;
-    bool stolen = false;
-    IqBuffer chunk;
-    bool do_finish = false;
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      cv_work_.wait(lk, [&] {
-        lane = pick_lane(worker, &stolen);
-        return lane != nullptr || (done_ && all_lanes_finished());
-      });
-      if (lane == nullptr) break;  // every lane finished: wind down
-      if (stolen) {
-        ++steals_[worker];
-        if (worker < obs_.steals.size()) obs_.steals[worker].inc();
-      }
-      lane->claimed = true;
-      if (!lane->q.empty()) {
-        chunk = std::move(lane->q.front());
-        lane->q.pop_front();
-        lane->queue_depth.set(static_cast<std::int64_t>(lane->q.size()));
-      } else {
-        do_finish = true;  // done_ and drained: run the lane's finish()
-      }
-    }
-    cv_space_.notify_all();
-    // `claimed` gives this worker exclusive, mutex-ordered access to the
-    // lane's receiver and snapshot until it is released below.
-    const std::size_t prev_retired = lane->snapshot.samples_retired;
-    try {
-      if (do_finish) {
-        lane->rx.finish();
-      } else {
-        lane->rx.push_chunk(chunk);
-      }
-    } catch (...) {
-      std::lock_guard<std::mutex> lk(mu_);
-      lane->finished = true;  // release everyone waiting on this lane
-      lane->claimed = false;
-      cv_work_.notify_all();
-      cv_space_.notify_all();
-      throw;  // delivered by ThreadPool::wait in finish()
-    }
-    stream::StreamingStats snap = lane->rx.stats();
-    std::size_t freed = snap.samples_retired - prev_retired;
-    if (do_finish) {
-      // Whatever the final flush could not retire (e.g. a trailing torn
-      // packet) leaves the window with the lane; zero the lane's share.
-      freed += snap.samples_in - snap.samples_retired;
-    }
-    resident_sub(freed);
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      lane->snapshot = std::move(snap);
-      lane->claimed = false;
-      if (do_finish) lane->finished = true;
-    }
-    cv_work_.notify_all();
-  }
-  cv_work_.notify_all();  // wake siblings so they observe the wind-down
 }
 
 std::size_t run_fleet_pipeline(

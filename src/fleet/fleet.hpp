@@ -1,22 +1,21 @@
 // tnb::fleet — the multi-channel gateway: one wideband stream, a
 // channelizer front end, and per-(channel, SF) StreamingReceiver lanes
-// scheduled on a work-stealing worker pool, merging into one packet
-// ledger (ROADMAP item 1; DESIGN.md "Gateway fleet").
+// run as tasks on a common::ThreadPool, merging into one packet ledger
+// (DESIGN.md "Gateway fleet").
 //
 // Data path: push_wideband() (producer thread) channelizes into per-
-// channel staging buffers; every `dispatch_samples` of a channel becomes
-// one chunk, copied into the bounded queue of each of that channel's SF
-// lanes (blocking when a queue is full — backpressure bounds total
-// resident IQ). `lanes` workers drain the queues: each worker owns a
-// round-robin partition of the lanes and steals a runnable lane from the
-// others when its own are idle (counted per worker). A lane is only ever
-// processed by one worker at a time and its chunks in arrival order, so
-// every lane decodes exactly as a standalone StreamingReceiver fed the
-// same channel stream — scheduling affects wall clock, never output.
-// Decoded packets are appended to the PacketLedger tagged with
-// (channel, SF); after finish() the ledger freezes into its canonical
-// (start sample, channel) order, identical for every lane count and
-// chunk size.
+// channel staging buffers; every 16 symbols of the largest SF staged on a
+// channel become one chunk, copied into the bounded queue (4 chunks) of
+// each of that channel's SF lanes (blocking when a queue is full —
+// backpressure bounds total resident IQ). A chunk that lands on an idle
+// lane submits one drain task to the pool, which decodes that lane's
+// queued chunks in arrival order and returns once the queue is empty. A
+// lane has at most one task queued or running, so every lane decodes
+// exactly as a standalone StreamingReceiver fed the same channel stream —
+// scheduling affects wall clock, never output. Decoded packets are
+// appended to the PacketLedger tagged with (channel, SF); after finish()
+// the ledger freezes into its canonical (start sample, channel) order,
+// identical for every worker count and chunk size.
 #pragma once
 
 #include <atomic>
@@ -45,14 +44,9 @@ struct FleetOptions {
   /// spreading factors in parallel, the way a real gateway listens on
   /// SF7-12 per frequency.
   std::vector<unsigned> sfs = {8};
-  /// Worker threads draining the lanes. <= 0 resolves via TNB_JOBS
+  /// Worker threads running the lanes' tasks. <= 0 resolves via TNB_JOBS
   /// (common::resolve_jobs); the lane count caps it.
   int lanes = 1;
-  /// Chunk granularity handed to a lane, in channel-rate samples.
-  /// 0 = 16 symbols of the largest configured SF.
-  std::size_t dispatch_samples = 0;
-  /// Bounded per-lane queue, in chunks; the producer blocks when full.
-  std::size_t lane_queue_chunks = 4;
   /// Per-lane streaming configuration (window, rng_seed, ...).
   /// keep_packets is forced off — the ledger owns the packets.
   stream::StreamingOptions stream;
@@ -81,7 +75,6 @@ struct FleetStats {
   std::size_t wideband_blocks = 0;         ///< channelizer blocks processed
   std::size_t partial_tail_samples = 0;    ///< sub-block tail dropped at EOF
   std::size_t chunks_dispatched = 0;       ///< lane-chunks enqueued
-  std::size_t steals = 0;                  ///< lanes run by a foreign worker
   std::size_t resident_iq_samples = 0;     ///< queued + assembly, all lanes
   std::size_t resident_iq_high_water = 0;
   std::size_t resident_iq_bound = 0;       ///< documented ceiling (2W/lane + queues)
@@ -102,7 +95,7 @@ class Fleet {
   /// `base` carries the shared PHY configuration (bandwidth, OSF, CR);
   /// each lane clones it with its own SF. Worker threads start here.
   Fleet(lora::Params base, FleetOptions opt);
-  /// Winds down the workers (finish() if the caller has not already).
+  /// finish() if the caller has not already, then joins the workers.
   ~Fleet();
 
   Fleet(const Fleet&) = delete;
@@ -115,7 +108,9 @@ class Fleet {
 
   /// End of stream: dispatches every staged sample (the channelizer's
   /// sub-block tail is dropped and counted), lets the lanes drain and
-  /// finish, joins the workers, freezes the ledger. Idempotent.
+  /// finish, freezes the ledger. Idempotent. Rethrows the first lane
+  /// exception after the other lanes have finished; the failed lane
+  /// dropped its later chunks and is not flushed.
   void finish();
 
   /// Pull loop: drains `src` in `chunk_samples` wideband chunks, then
@@ -136,8 +131,8 @@ class Fleet {
     LaneInfo info;
     stream::StreamingReceiver rx;
     std::deque<IqBuffer> q;            ///< guarded by Fleet::mu_
-    bool claimed = false;              ///< a worker is inside rx right now
-    bool finished = false;
+    bool scheduled = false;            ///< a drain task is queued or running
+    bool failed = false;               ///< rx threw; later chunks are dropped
     stream::StreamingStats snapshot;   ///< rx.stats() copy, post-chunk
     obs::GaugeRef queue_depth;
 
@@ -146,11 +141,13 @@ class Fleet {
         : rx(p, ropt, sopt) {}
   };
 
-  void worker_loop(unsigned worker);
-  /// Own partition first, then steal; nullptr = nothing runnable.
-  Lane* pick_lane(unsigned worker, bool* stolen);
-  bool all_lanes_finished() const;
   void enqueue(Lane& lane, IqBuffer chunk);
+  /// Pool task: decodes the lane's queued chunks in order, returns once
+  /// the queue is empty.
+  void drain(Lane& lane);
+  /// Runs `chunk` (nullptr = the end-of-stream flush) through the lane's
+  /// receiver, then publishes its stats and releases the IQ it retired.
+  void step(Lane& lane, const IqBuffer* chunk);
   void dispatch_staged(unsigned channel, bool eof);
   void resident_add(std::size_t n);
   void resident_sub(std::size_t n);
@@ -165,22 +162,20 @@ class Fleet {
   std::vector<std::unique_ptr<Lane>> lanes_;  ///< channel-major, then SF
   PacketLedger ledger_;
 
-  mutable std::mutex mu_;
-  std::condition_variable cv_work_;   ///< workers: a lane became runnable
+  mutable std::mutex mu_;             ///< guards the lanes' queues and flags
   std::condition_variable cv_space_;  ///< producer: a queue has room
-  bool done_ = false;                 ///< no more chunks will be enqueued
   bool finished_ = false;
 
   std::size_t wideband_samples_in_ = 0;   ///< guarded by mu_
   std::size_t wideband_blocks_ = 0;       ///< guarded by mu_
   std::size_t partial_tail_samples_ = 0;  ///< guarded by mu_
   std::size_t chunks_dispatched_ = 0;     ///< guarded by mu_
-  std::vector<std::size_t> steals_;      ///< per worker, guarded by mu_
   std::atomic<std::size_t> resident_{0};
   std::atomic<std::size_t> resident_peak_{0};
   std::size_t resident_bound_ = 0;
 
-  std::unique_ptr<common::ThreadPool> pool_;  ///< built once n_workers_ known
+  /// Runs the lanes' tasks; built once n_workers_ is known.
+  std::unique_ptr<common::ThreadPool> pool_;
 
   struct Instrumentation {
     obs::CounterRef wideband_samples_in;
@@ -188,7 +183,6 @@ class Fleet {
     obs::CounterRef partial_tail;
     obs::GaugeRef resident_iq;
     obs::GaugeRef resident_iq_high_water;
-    std::vector<obs::CounterRef> steals;  ///< per worker
   };
   Instrumentation obs_;
 };

@@ -660,8 +660,6 @@ void oracle_fleet_differential(FuzzInput& in) {
   fleet::FleetOptions fopt;
   fopt.n_channels = n_channels;
   fopt.sfs = {p.sf};
-  fopt.dispatch_samples = static_cast<std::size_t>(in.uniform(64, 2048));
-  fopt.lane_queue_chunks = static_cast<std::size_t>(in.uniform(1, 4));
   fopt.stream.max_packet_symbols = 64;
   fopt.stream.window_symbols = static_cast<std::size_t>(in.uniform(40, 160));
   fopt.stream.rng_seed = in.u64();

@@ -6,10 +6,10 @@ tnb_streamd, and of the benches that take --jobs.
 
 --help exits 0 with the usage on stdout (tnb_eval's lists every scheme);
 each bad value exits 2 with "<tool>: <flag>:" on stderr; an unknown flag
-(tnb_streamd --taps) exits 2 naming it; the unknown-scheme and
-unknown-backend messages keep the text CI greps for; and a tiny
-gen -> eval -> streamd round trip still decodes. Each BENCH is only
-parsed, never run: --help, and a bad or missing --jobs value.
+(tnb_streamd --taps, --stats-every) exits 2 naming it; the
+unknown-scheme and unknown-backend messages keep the text CI greps for;
+and a tiny gen -> eval -> streamd round trip still decodes. Each BENCH
+is only parsed, never run: --help, and a bad or missing --jobs value.
 """
 import os
 import subprocess
@@ -69,6 +69,8 @@ def main():
         (sd, ["--in", trace, "--implicit-len", "272"], "--implicit-len"),
         (sd, ["--in", trace, "--implicit-len", "-5"], "--implicit-len"),
         (sd, ["--in", trace, "--chunk", "abc"], "--chunk"),
+        # --sfs picks the fleet's lane SFs; one channel decodes at --sf.
+        (sd, ["--in", trace, "--sfs", "7,9", "--lanes", "4"], "--sfs"),
     ]
     for bench in benches:
         for jobs in (["abc"], ["0"], ["-2"], []):
@@ -80,10 +82,12 @@ def main():
         expect(r.returncode == 2 and f"{name}: {flag}:" in r.stderr,
                f"{name} {' '.join(shown)}", r)
 
-    # --taps is not a flag: the fleet's channelizer has one exact regime.
-    r = run([sd, "--in", trace, "--taps", "4"])
-    expect(r.returncode == 2 and "'--taps'" in r.stderr,
-           "tnb_streamd --taps 4", r)
+    # Neither is a flag: the fleet's channelizer has one exact regime, and
+    # --stats-interval is the one spelling of the stats period.
+    for flag in ("--taps", "--stats-every"):
+        r = run([sd, "--in", trace, flag, "4"])
+        expect(r.returncode == 2 and f"'{flag}'" in r.stderr,
+               f"tnb_streamd {flag} 4", r)
 
     r = run([ev, "--in", prefix, "--sf", "7", "--scheme", "nope"])
     expect(r.returncode == 2 and "unknown scheme 'nope'" in r.stderr

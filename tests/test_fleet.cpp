@@ -214,6 +214,7 @@ TEST(Fleet, LedgerOrderIsDeterministicAcrossSchedules) {
     std::size_t chunk;
   };
   std::vector<std::vector<LedgerEntry>> ledgers;
+  std::vector<std::vector<std::string>> lane_stats;  ///< per run, per lane
   for (const Run r : {Run{1, 65536}, Run{2, 999}, Run{8, 4096}}) {
     FleetOptions fopt;
     fopt.n_channels = n_channels;
@@ -224,6 +225,16 @@ TEST(Fleet, LedgerOrderIsDeterministicAcrossSchedules) {
     stream::BufferSource src(comp.wideband);
     fleet.consume(src, r.chunk);
     ledgers.push_back(fleet.ledger());
+    lane_stats.emplace_back();
+    for (const auto& [info, st] : fleet.stats().lane_stats) {
+      lane_stats.back().push_back(st.to_json());
+    }
+  }
+  // Scheduling never reaches a lane's stats either: every lane sees the
+  // same chunk sequence in every run.
+  ASSERT_EQ(lane_stats[0].size(), n_channels);
+  for (std::size_t i = 1; i < lane_stats.size(); ++i) {
+    EXPECT_EQ(lane_stats[i], lane_stats[0]) << "run " << i;
   }
   ASSERT_GE(ledgers[0].size(), 3u);
   for (std::size_t i = 1; i < ledgers.size(); ++i) {
@@ -281,7 +292,6 @@ TEST(Fleet, LifecycleAndAccounting) {
   FleetOptions fopt;
   fopt.n_channels = 2;
   fopt.sfs = {p.sf};
-  fopt.dispatch_samples = 1024;
   Fleet fleet(p, fopt);
 
   // 2 channels x 100 blocks + a 1-sample sub-block tail.

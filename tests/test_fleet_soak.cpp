@@ -81,8 +81,7 @@ TEST(FleetSoak, BoundedMemoryAndZeroLossUnderSustainedLoad) {
   FleetOptions fopt;
   fopt.n_channels = n_channels;
   fopt.sfs = {p.sf};
-  fopt.lanes = 2;  // fewer workers than lanes: stealing + real queueing
-  fopt.lane_queue_chunks = 3;
+  fopt.lanes = 2;  // fewer workers than lanes: real queueing
   fopt.stream.window_symbols = 512;
   fopt.stream.rng_seed = 1;
   Fleet fleet(p, fopt);

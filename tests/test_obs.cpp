@@ -405,7 +405,6 @@ TEST(FleetStatsJson, SchemaIsPinned) {
   st.wideband_blocks = 2000;
   st.partial_tail_samples = 1;
   st.chunks_dispatched = 8;
-  st.steals = 5;
   st.resident_iq_samples = 0;
   st.resident_iq_high_water = 1234;
   st.resident_iq_bound = 9999;
@@ -429,7 +428,7 @@ TEST(FleetStatsJson, SchemaIsPinned) {
             "{\"fleet\":{\"channels\":2,\"sfs\":[7,9],\"lanes\":3,"
             "\"wideband_samples_in\":4000,\"wideband_blocks\":2000,"
             "\"partial_tail_samples\":1,\"chunks_dispatched\":8,"
-            "\"steals\":5,\"resident_iq_samples\":0,"
+            "\"resident_iq_samples\":0,"
             "\"resident_iq_high_water\":1234,\"resident_iq_bound\":9999,"
             "\"packets\":6},"
             "\"channels\":{\"0\":" + ch0.to_json() +

@@ -22,8 +22,8 @@
 // lane per (channel, SF in --sfs) on --lanes workers. Decoded packets
 // print (with channel/SF tags) from the merged ledger after the stream
 // ends, in the canonical (start, channel) order; the periodic `stats` line
-// carries FleetStats::to_json plus the ring counters. The single-channel
-// path is untouched by these flags.
+// carries FleetStats::to_json plus the ring counters. Without --channels
+// > 1, --sfs exits 2: a single channel decodes at --sf.
 //
 // Without --in (or with `--in -`) samples are read from stdin, so a trace
 // can be piped straight through:  tnb_gen ... && tnb_streamd < trace.bin
@@ -115,7 +115,6 @@ int main(int argc, char** argv) {
   std::uint64_t impair_seed = 1;
 
   constexpr std::size_t kMaxSamples = std::size_t{1} << 30;
-  const cli::Reader read_stats = cli::number(stats_interval_s, 0.0, 1e9);
   const cli::Parser cli(
       "tnb_streamd",
       {{"--in FILE|-", cli::text(in)},
@@ -126,8 +125,7 @@ int main(int argc, char** argv) {
         cli::number(sopt.window_symbols, std::size_t{0}, std::size_t{65536})},
        {"--ring SAMPLES",
         cli::number(ring_capacity, std::size_t{0}, kMaxSamples)},
-       {"--stats-interval SECONDS", read_stats},
-       {"--stats-every SECONDS", read_stats},  // legacy alias
+       {"--stats-interval SECONDS", cli::number(stats_interval_s, 0.0, 1e9)},
        {"--metrics-file FILE", cli::text(metrics_file)},
        {"--metrics-history PREFIX", cli::text(metrics_history)},
        {"--realtime", cli::set(realtime)}, {"--drop", cli::set(drop)},
@@ -144,6 +142,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "tnb_streamd: --impair is single-channel only (the wideband "
                  "composite runs at a different sample rate)\n");
+    return 2;
+  }
+  if (!fleet_sfs.empty() && !fleet_mode) {
+    std::fprintf(stderr,
+                 "tnb_streamd: --sfs: needs --channels > 1 (a single channel "
+                 "decodes at --sf)\n");
     return 2;
   }
   if (chunk == 0) chunk = 16 * params.sps() * (fleet_mode ? n_channels : 1);
