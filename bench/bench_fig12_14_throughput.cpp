@@ -10,16 +10,11 @@
 // Every (deployment, SF, CR, load, run) cell is independent: cells fan out
 // across `--jobs N` (or TNB_JOBS) workers, results land in pre-sized slots,
 // and the printed numbers are identical for every jobs value.
-//
-// --streaming additionally times a gateway-style streaming decode of each
-// cell's trace (chunked StreamingReceiver, see bench/README.md) and adds
-// the aggregate samples/sec to the summary line.
 #include <cstdio>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "cli.hpp"
-#include "stream/streaming_receiver.hpp"
 
 using namespace tnb;
 
@@ -36,18 +31,13 @@ struct Cell {
 struct CellResult {
   std::vector<double> decoded;  ///< per scheme
   std::size_t offered = 0;
-  std::size_t stream_samples = 0;  ///< --streaming: samples pushed
-  double stream_s = 0.0;           ///< --streaming: decode wall time
 };
 
 }  // namespace
 
 int main(int argc, char** argv) {
   int jobs = common::default_jobs();
-  bool streaming = false;
-  const cli::Parser cli(
-      "bench_fig12_14_throughput",
-      {cli::jobs(jobs), {"--streaming", cli::set(streaming)}});
+  const cli::Parser cli("bench_fig12_14_throughput", {cli::jobs(jobs)});
   if (const auto status = cli.run(argc, argv)) return *status;
   bench::print_header("Figs. 12-14: throughput vs offered load",
                       "paper Figs. 12, 13, 14");
@@ -98,15 +88,6 @@ int main(int argc, char** argv) {
       r.decoded[si] = static_cast<double>(
           bench::run_scheme(schemes[si], p, trace, false, &detections)
               .eval.decoded_unique);
-    }
-    if (streaming) {
-      // Gateway-rate measurement: same trace through the chunked
-      // StreamingReceiver (16-symbol chunks, tnb_streamd's default).
-      const bench::WallTimer stream_timer;
-      stream::StreamingReceiver srx(p, {}, {.keep_packets = false});
-      stream::BufferSource source(trace.iq);
-      r.stream_samples = srx.consume(source, 16 * p.sps());
-      r.stream_s = stream_timer.seconds();
     }
     cell_seconds.observe(timer.seconds());
   });
@@ -160,19 +141,6 @@ int main(int argc, char** argv) {
               cic_total > 0 ? tnb_total / cic_total : 0.0,
               cic_total_sf10 > 0 ? tnb_total_sf10 / cic_total_sf10 : 0.0);
   std::printf("(paper: median gains 1.36x at SF 8 and 2.46x at SF 10)\n");
-  double stream_sps = 0.0;
-  if (streaming) {
-    std::size_t stream_samples = 0;
-    double stream_s = 0.0;
-    for (const CellResult& r : results) {
-      stream_samples += r.stream_samples;
-      stream_s += r.stream_s;
-    }
-    if (stream_s > 0.0) {
-      stream_sps = static_cast<double>(stream_samples) / stream_s;
-    }
-  }
-  bench::print_obs_summary(obs.registry().snapshot(), cells.size(), jobs, wall,
-                           stream_sps);
+  bench::print_obs_summary(obs.registry().snapshot(), cells.size(), jobs, wall);
   return 0;
 }

@@ -66,19 +66,16 @@ class ObsScope {
 };
 
 /// Run report at the end of a parallel bench (see bench/README.md
-/// "Histogram summaries"): a `runs=… jobs=… speedup=…` line (speedup from
+/// "Parallel runs"): a `runs=… jobs=… speedup=…` line (speedup from
 /// the cell-seconds histogram sum, the estimated --jobs 1 wall clock),
 /// then one `hist` line per histogram in the snapshot — per-cell wall
 /// clocks and the per-stage pipeline timings.
 inline void print_obs_summary(const obs::Snapshot& snap, std::size_t runs,
-                              int jobs, double wall_s,
-                              double stream_sps = 0.0) {
+                              int jobs, double wall_s) {
   const obs::Snapshot::Metric* cell = snap.find("tnb_bench_cell_seconds");
   const double seq_s = cell != nullptr ? cell->sum : 0.0;
-  std::printf("runs=%zu jobs=%d speedup=%.2fx", runs, jobs,
+  std::printf("runs=%zu jobs=%d speedup=%.2fx\n", runs, jobs,
               wall_s > 0.0 ? seq_s / wall_s : 1.0);
-  if (stream_sps > 0.0) std::printf(" stream_sps=%.0f", stream_sps);
-  std::printf("\n");
   for (const obs::Snapshot::Metric& m : snap.metrics) {
     if (m.kind != obs::Snapshot::Kind::kHistogram) continue;
     std::string label = m.name;

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <exception>
+#include <iterator>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
 #include <utility>
 
 #include "obs/json.hpp"
@@ -17,6 +19,11 @@ constexpr std::size_t kDispatchSymbols = 16;
 constexpr std::size_t kLaneQueueChunks = 4;
 
 }  // namespace
+
+bool ledger_entry_less(const LedgerEntry& a, const LedgerEntry& b) {
+  return std::tie(a.pkt.start_sample, a.channel, a.sf, a.pkt.payload) <
+         std::tie(b.pkt.start_sample, b.channel, b.sf, b.pkt.payload);
+}
 
 std::string FleetStats::to_json() const {
   obs::JsonWriter w;
@@ -64,8 +71,7 @@ std::string FleetStats::to_json() const {
 Fleet::Fleet(lora::Params base, FleetOptions opt)
     : base_(base),
       opt_(std::move(opt)),
-      chan_(opt_.n_channels),
-      ledger_(opt_.receiver.metrics) {
+      chan_(opt_.n_channels) {
   base_.validate();
   if (opt_.sfs.empty()) {
     throw std::invalid_argument("FleetOptions: sfs must not be empty");
@@ -89,14 +95,14 @@ Fleet::Fleet(lora::Params base, FleetOptions opt)
       ropt.metric_labels = {{"channel", std::to_string(c)},
                             {"sf", std::to_string(sf)}};
       stream::StreamingOptions sopt = opt_.stream;
-      sopt.keep_packets = false;  // the ledger owns the packets
+      sopt.keep_packets = false;  // the lane keeps them for the ledger
       auto lane = std::make_unique<Lane>(p, ropt, sopt);
       lane->info.channel = c;
       lane->info.sf = sf;
       lane->info.window_samples = lane->rx.options().window_symbols * p.sps();
       lane->rx.set_packet_callback(
-          [this, c, sf](const sim::DecodedPacket& pkt) {
-            ledger_.append(LedgerEntry{c, sf, pkt});
+          [&l = *lane](const sim::DecodedPacket& pkt) {
+            l.packets.push_back(LedgerEntry{l.info.channel, l.info.sf, pkt});
           });
       if (reg != nullptr) {
         lane->queue_depth =
@@ -151,24 +157,6 @@ Fleet::~Fleet() {
   }
 }
 
-void Fleet::resident_add(std::size_t n) {
-  if (n == 0) return;
-  const std::size_t now =
-      resident_.fetch_add(n, std::memory_order_relaxed) + n;
-  std::size_t cur = resident_peak_.load(std::memory_order_relaxed);
-  while (cur < now && !resident_peak_.compare_exchange_weak(
-                          cur, now, std::memory_order_relaxed)) {
-  }
-  obs_.resident_iq.add(static_cast<std::int64_t>(n));
-  obs_.resident_iq_high_water.update_max(static_cast<std::int64_t>(now));
-}
-
-void Fleet::resident_sub(std::size_t n) {
-  if (n == 0) return;
-  resident_.fetch_sub(n, std::memory_order_relaxed);
-  obs_.resident_iq.add(-static_cast<std::int64_t>(n));
-}
-
 void Fleet::enqueue(Lane& lane, IqBuffer chunk) {
   bool idle = false;
   {
@@ -177,9 +165,11 @@ void Fleet::enqueue(Lane& lane, IqBuffer chunk) {
       return lane.q.size() < kLaneQueueChunks || lane.failed;
     });
     if (lane.failed) return;  // lane died mid-run; drop, don't deadlock
-    // Counted before the chunk is visible, so a drain never releases IQ
-    // that was not yet added.
-    resident_add(chunk.size());
+    resident_ += chunk.size();
+    resident_peak_ = std::max(resident_peak_, resident_);
+    obs_.resident_iq.add(static_cast<std::int64_t>(chunk.size()));
+    obs_.resident_iq_high_water.update_max(
+        static_cast<std::int64_t>(resident_peak_));
     lane.q.push_back(std::move(chunk));
     ++chunks_dispatched_;
     lane.queue_depth.set(static_cast<std::int64_t>(lane.q.size()));
@@ -221,6 +211,7 @@ void Fleet::step(Lane& lane, const IqBuffer* chunk) {
     {
       std::lock_guard<std::mutex> lk(mu_);
       lane.failed = true;
+      lane.snapshot = lane.rx.stats();  // counts the packets it emitted
     }
     cv_space_.notify_all();  // release a producer waiting on this lane
     throw;  // delivered by ThreadPool::wait in finish()
@@ -232,8 +223,9 @@ void Fleet::step(Lane& lane, const IqBuffer* chunk) {
     // packet) leaves the window with the lane; zero the lane's share.
     freed += snap.samples_in - snap.samples_retired;
   }
-  resident_sub(freed);
   std::lock_guard<std::mutex> lk(mu_);
+  resident_ -= freed;
+  obs_.resident_iq.add(-static_cast<std::int64_t>(freed));
   lane.snapshot = std::move(snap);
 }
 
@@ -277,7 +269,7 @@ void Fleet::finish() {
     wideband_blocks_ = chan_.blocks();
   }
   // Both rounds run to the end even if a lane threw, so every healthy
-  // lane is flushed into the ledger before the first error is rethrown.
+  // lane is flushed before the first error is rethrown.
   std::exception_ptr err;
   const auto wait = [&] {
     try {
@@ -291,28 +283,22 @@ void Fleet::finish() {
     if (!lane->failed) pool_->submit([this, &l = *lane] { step(l, nullptr); });
   }
   wait();
-  ledger_.finalize();
+  // The pool is idle: the lanes' vectors are the producer's to move.
+  for (const auto& lane : lanes_) {
+    std::move(lane->packets.begin(), lane->packets.end(),
+              std::back_inserter(ledger_));
+    lane->packets.clear();
+  }
+  std::sort(ledger_.begin(), ledger_.end(), ledger_entry_less);
   finished_ = true;
   if (err) std::rethrow_exception(err);
 }
 
-std::size_t Fleet::consume(stream::ChunkSource& src,
-                           std::size_t chunk_samples) {
-  IqBuffer chunk;
-  std::size_t total = 0;
-  while (src.next(chunk, chunk_samples) > 0) {
-    push_wideband(chunk);
-    total += chunk.size();
-  }
-  finish();
-  return total;
-}
-
-const std::vector<LedgerEntry>& Fleet::ledger() {
+const std::vector<LedgerEntry>& Fleet::ledger() const {
   if (!finished_) {
     throw std::logic_error("Fleet: ledger() before finish()");
   }
-  return ledger_.finalize();
+  return ledger_;
 }
 
 FleetStats Fleet::stats() const {
@@ -320,11 +306,10 @@ FleetStats Fleet::stats() const {
   s.channels = opt_.n_channels;
   s.sfs = opt_.sfs;
   s.lanes = n_workers_;
-  s.resident_iq_samples = resident_.load(std::memory_order_relaxed);
-  s.resident_iq_high_water = resident_peak_.load(std::memory_order_relaxed);
   s.resident_iq_bound = resident_bound_;
-  s.packets = ledger_.size();
   std::lock_guard<std::mutex> lk(mu_);
+  s.resident_iq_samples = resident_;
+  s.resident_iq_high_water = resident_peak_;
   s.wideband_samples_in = wideband_samples_in_;
   s.wideband_blocks = wideband_blocks_;
   s.partial_tail_samples = partial_tail_samples_;
@@ -332,6 +317,7 @@ FleetStats Fleet::stats() const {
   s.lane_stats.reserve(lanes_.size());
   for (const auto& lane : lanes_) {
     s.lane_stats.emplace_back(lane->info, lane->snapshot);
+    s.packets += lane->snapshot.packets_emitted;
   }
   return s;
 }

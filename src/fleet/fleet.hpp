@@ -1,6 +1,6 @@
 // tnb::fleet — the multi-channel gateway: one wideband stream, a
 // channelizer front end, and per-(channel, SF) StreamingReceiver lanes
-// run as tasks on a common::ThreadPool, merging into one packet ledger
+// run as tasks on a common::ThreadPool, merged into one packet ledger
 // (DESIGN.md "Gateway fleet").
 //
 // Data path: push_wideband() (producer thread) channelizes into per-
@@ -12,26 +12,30 @@
 // queued chunks in arrival order and returns once the queue is empty. A
 // lane has at most one task queued or running, so every lane decodes
 // exactly as a standalone StreamingReceiver fed the same channel stream —
-// scheduling affects wall clock, never output. Decoded packets are
-// appended to the PacketLedger tagged with (channel, SF); after finish()
-// the ledger freezes into its canonical (start sample, channel) order,
-// identical for every worker count and chunk size.
+// scheduling affects wall clock, never output. One mutex guards the
+// lane queues, flags and stats snapshots, the counters and the
+// resident-IQ tally.
+//
+// Each lane appends its decoded packets, tagged (channel, SF), to its own
+// vector; only the lane's one task runs its receiver, so the append takes
+// no lock. finish() merges the lanes' vectors into the ledger in the
+// canonical (start sample, channel, SF, payload) order, identical for
+// every worker count and chunk size.
 #pragma once
 
-#include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string>
 #include <vector>
 
-#include <condition_variable>
-
 #include "common/thread_pool.hpp"
 #include "fleet/channelizer.hpp"
-#include "fleet/ledger.hpp"
+#include "sim/metrics.hpp"
 #include "stream/ring_buffer.hpp"
 #include "stream/streaming_receiver.hpp"
 
@@ -48,7 +52,8 @@ struct FleetOptions {
   /// (common::resolve_jobs); the lane count caps it.
   int lanes = 1;
   /// Per-lane streaming configuration (window, rng_seed, ...).
-  /// keep_packets is forced off — the ledger owns the packets.
+  /// keep_packets is forced off — each lane keeps its packets for the
+  /// ledger.
   stream::StreamingOptions stream;
   /// Per-lane receiver configuration; metric_labels is overwritten with
   /// each lane's {channel, sf} labels.
@@ -64,6 +69,18 @@ struct LaneInfo {
   std::size_t window_samples = 0;
 };
 
+/// One ledger packet, tagged with the lane that decoded it.
+/// pkt.start_sample is in channel-rate samples, which every lane shares
+/// (fs is SF-independent), so entries from all lanes order on one clock.
+struct LedgerEntry {
+  unsigned channel = 0;
+  unsigned sf = 0;
+  sim::DecodedPacket pkt;
+};
+
+/// Canonical ledger order: (pkt.start_sample, channel, sf, payload bytes).
+bool ledger_entry_less(const LedgerEntry& a, const LedgerEntry& b);
+
 /// Counters of one fleet run. Cumulative like ReceiverStats: snapshots
 /// taken mid-run (the daemon's periodic stats line) are consistent,
 /// monotone views.
@@ -78,7 +95,7 @@ struct FleetStats {
   std::size_t resident_iq_samples = 0;     ///< queued + assembly, all lanes
   std::size_t resident_iq_high_water = 0;
   std::size_t resident_iq_bound = 0;       ///< documented ceiling (2W/lane + queues)
-  std::size_t packets = 0;                 ///< ledger size
+  std::size_t packets = 0;                 ///< packets emitted, all lanes
   /// Per-lane streaming stats, fleet lane order (channel-major, then SF).
   std::vector<std::pair<LaneInfo, stream::StreamingStats>> lane_stats;
 
@@ -108,32 +125,32 @@ class Fleet {
 
   /// End of stream: dispatches every staged sample (the channelizer's
   /// sub-block tail is dropped and counted), lets the lanes drain and
-  /// finish, freezes the ledger. Idempotent. Rethrows the first lane
-  /// exception after the other lanes have finished; the failed lane
-  /// dropped its later chunks and is not flushed.
+  /// finish, merges their packets into the ledger. Idempotent. Rethrows
+  /// the first lane exception after the other lanes have finished; the
+  /// failed lane dropped its later chunks and is not flushed, but the
+  /// packets it decoded join the ledger.
   void finish();
 
-  /// Pull loop: drains `src` in `chunk_samples` wideband chunks, then
-  /// finish(). Returns total wideband samples consumed.
-  std::size_t consume(stream::ChunkSource& src, std::size_t chunk_samples);
-
-  /// The frozen, canonically ordered ledger. Only valid after finish().
-  const std::vector<LedgerEntry>& ledger();
+  /// Every lane's packets in the canonical order. Only valid after
+  /// finish().
+  const std::vector<LedgerEntry>& ledger() const;
 
   /// Aggregated counters; safe to call concurrently with the run (the
-  /// per-lane stream stats are the lane's last post-chunk snapshot).
+  /// per-lane stream stats are the lane's last snapshot).
   FleetStats stats() const;
-
-  const FleetOptions& options() const { return opt_; }
 
  private:
   struct Lane {
     LaneInfo info;
+    /// Packets rx decoded, appended by its callback (declared first, so it
+    /// outlives rx): only this lane's task runs rx, so no lock. finish()
+    /// moves them into the ledger.
+    std::vector<LedgerEntry> packets;
     stream::StreamingReceiver rx;
     std::deque<IqBuffer> q;            ///< guarded by Fleet::mu_
     bool scheduled = false;            ///< a drain task is queued or running
     bool failed = false;               ///< rx threw; later chunks are dropped
-    stream::StreamingStats snapshot;   ///< rx.stats() copy, post-chunk
+    stream::StreamingStats snapshot;   ///< rx.stats() copy, guarded by mu_
     obs::GaugeRef queue_depth;
 
     Lane(const lora::Params& p, const rx::ReceiverOptions& ropt,
@@ -149,8 +166,6 @@ class Fleet {
   /// receiver, then publishes its stats and releases the IQ it retired.
   void step(Lane& lane, const IqBuffer* chunk);
   void dispatch_staged(unsigned channel, bool eof);
-  void resident_add(std::size_t n);
-  void resident_sub(std::size_t n);
 
   lora::Params base_;
   FleetOptions opt_;
@@ -160,18 +175,18 @@ class Fleet {
   Channelizer chan_;
   std::vector<IqBuffer> staging_;  ///< per-channel, producer thread only
   std::vector<std::unique_ptr<Lane>> lanes_;  ///< channel-major, then SF
-  PacketLedger ledger_;
+  std::vector<LedgerEntry> ledger_;  ///< the lanes' packets, from finish()
 
-  mutable std::mutex mu_;             ///< guards the lanes' queues and flags
+  mutable std::mutex mu_;  ///< guards the lanes' queues, flags, snapshots
   std::condition_variable cv_space_;  ///< producer: a queue has room
-  bool finished_ = false;
+  bool finished_ = false;             ///< producer thread only
 
   std::size_t wideband_samples_in_ = 0;   ///< guarded by mu_
   std::size_t wideband_blocks_ = 0;       ///< guarded by mu_
   std::size_t partial_tail_samples_ = 0;  ///< guarded by mu_
   std::size_t chunks_dispatched_ = 0;     ///< guarded by mu_
-  std::atomic<std::size_t> resident_{0};
-  std::atomic<std::size_t> resident_peak_{0};
+  std::size_t resident_ = 0;              ///< guarded by mu_
+  std::size_t resident_peak_ = 0;         ///< guarded by mu_
   std::size_t resident_bound_ = 0;
 
   /// Runs the lanes' tasks; built once n_workers_ is known.

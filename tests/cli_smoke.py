@@ -10,8 +10,14 @@ each bad value exits 2 with "<tool>: <flag>:" on stderr; an unknown flag
 unknown-scheme and unknown-backend messages keep the text CI greps for;
 and a tiny gen -> eval -> streamd round trip still decodes. Each BENCH
 is only parsed, never run: --help, and a bad or missing --jobs value.
+
+The gateway fleet runs end to end too: an 8-channel composite decoded at
+--lanes 1 and 8 must give the same pkt lines (at least 8) and the same
+per-channel and total stats (the final stats line from "channels" up to
+"ring"), and the resident-IQ high water must stay under its bound.
 """
 import os
+import re
 import subprocess
 import sys
 
@@ -95,6 +101,30 @@ def main():
     r = run([ev, "--in", prefix, "--fft-backend", "nope"])
     expect(r.returncode == 2 and "unknown fft backend 'nope'" in r.stderr,
            "tnb_eval --fft-backend nope", r)
+
+    fleet = os.path.join(workdir, "fleet")
+    r = run([gen, "--out", fleet, "--channels", "8", "--sf", "8",
+             "--duration", "1.0", "--load", "6", "--seed", "7"])
+    expect(r.returncode == 0, "tnb_gen --channels 8", r)
+    pkts, spans, last = {}, {}, {}
+    for lanes in ("1", "8"):
+        r = run([sd, "--in", fleet + ".bin", "--channels", "8", "--sf", "8",
+                 "--window", "512", "--lanes", lanes])
+        expect(r.returncode == 0, f"tnb_streamd --channels 8 --lanes {lanes}",
+               r)
+        lines = r.stdout.splitlines()
+        pkts[lanes] = [l for l in lines if l.startswith("pkt ")]
+        last[lanes] = ([l for l in lines if l.startswith("stats ")] or [""])[-1]
+        m = re.search(r'"channels":\{.*\},"ring"', last[lanes])
+        spans[lanes] = m.group(0) if m else ""
+    expect(pkts["1"] == pkts["8"], "fleet pkt lines differ at --lanes 1 and 8")
+    expect(len(pkts["8"]) >= 8, f"fleet decoded {len(pkts['8'])} packets")
+    expect(spans["8"] != "" and spans["1"] == spans["8"],
+           "fleet channel stats differ at --lanes 1 and 8")
+    hw = re.search(r'"resident_iq_high_water":(\d+)', last["8"])
+    bound = re.search(r'"resident_iq_bound":(\d+)', last["8"])
+    expect(hw and bound and int(hw.group(1)) <= int(bound.group(1)),
+           "fleet resident IQ over its bound: " + last["8"])
 
     for f in failures:
         print("cli_smoke: FAIL " + f)

@@ -2,22 +2,29 @@
 // composite must be packet-identical, per channel, to N independent
 // one-shot Receiver::decode runs on the same channelized streams — for
 // every lane count and every wideband chunk size — and the merged ledger
-// must come out in one deterministic order regardless of scheduling.
-// This binary also runs under the thread-sanitizer CI job.
+// must come out in one deterministic order regardless of scheduling; one
+// pinned decode holds the ledger and the per-channel stats to captured
+// values. This binary also runs under the thread-sanitizer CI job.
 #include "fleet/fleet.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/receiver.hpp"
+#include "dsp/fft_backend.hpp"
 #include "fleet/channelizer.hpp"
+#include "sim/deployment.hpp"
 #include "sim/trace_builder.hpp"
 #include "stream/chunk_source.hpp"
+#include "stream/ring_buffer.hpp"
 
 namespace tnb::fleet {
 namespace {
@@ -59,6 +66,16 @@ std::vector<std::vector<std::uint8_t>> payload_multiset(
   for (const auto& p : pkts) out.push_back(p.payload);
   std::sort(out.begin(), out.end());
   return out;
+}
+
+/// Feeds `wideband` to `fleet` in pushes of `chunk` samples, then
+/// finishes it.
+void feed(Fleet& fleet, std::span<const cfloat> wideband, std::size_t chunk) {
+  for (std::size_t pos = 0; pos < wideband.size(); pos += chunk) {
+    fleet.push_wideband(
+        wideband.subspan(pos, std::min(chunk, wideband.size() - pos)));
+  }
+  fleet.finish();
 }
 
 /// Ledger entries of one (channel, sf) lane as a decoded packet list.
@@ -107,8 +124,7 @@ TEST(Fleet, DifferentialLaneEquivalence) {
       fopt.stream.window_symbols = 512;
       fopt.stream.rng_seed = 1;
       Fleet fleet(p, fopt);
-      stream::BufferSource src(comp.wideband);
-      EXPECT_EQ(fleet.consume(src, chunk), comp.wideband.size());
+      feed(fleet, comp.wideband, chunk);
 
       const auto& ledger = fleet.ledger();
       for (unsigned c = 0; c < n_channels; ++c) {
@@ -176,8 +192,7 @@ TEST(Fleet, WideSfMatrixAcrossEightChannels) {
   fopt.lanes = 8;
   fopt.stream.rng_seed = 1;
   Fleet fleet(test_params(), fopt);
-  stream::BufferSource src(comp.wideband);
-  fleet.consume(src, 65536);
+  feed(fleet, comp.wideband, 65536);
   const auto& ledger = fleet.ledger();
   EXPECT_GE(ledger.size(), n_channels) << "matrix decoded almost nothing";
 
@@ -222,8 +237,7 @@ TEST(Fleet, LedgerOrderIsDeterministicAcrossSchedules) {
     fopt.lanes = r.lanes;
     fopt.stream.rng_seed = 1;
     Fleet fleet(p, fopt);
-    stream::BufferSource src(comp.wideband);
-    fleet.consume(src, r.chunk);
+    feed(fleet, comp.wideband, r.chunk);
     ledgers.push_back(fleet.ledger());
     lane_stats.emplace_back();
     for (const auto& [info, st] : fleet.stats().lane_stats) {
@@ -275,8 +289,7 @@ TEST(Fleet, FleetOfOneMatchesStreamingReceiver) {
   fopt.lanes = 2;  // more workers than lanes: clamped, still correct
   fopt.stream = sopt;
   Fleet fleet(p, fopt);
-  stream::BufferSource fsrc(trace.iq);
-  fleet.consume(fsrc, 4096);
+  feed(fleet, trace.iq, 4096);
 
   std::vector<sim::DecodedPacket> got;
   for (const auto& e : fleet.ledger()) {
@@ -285,6 +298,100 @@ TEST(Fleet, FleetOfOneMatchesStreamingReceiver) {
     got.push_back(e.pkt);
   }
   EXPECT_EQ(payload_multiset(got), payload_multiset(srx.packets()));
+}
+
+void fnv1a(std::uint64_t& h, std::uint8_t byte) {
+  h ^= byte;
+  h *= 0x100000001b3ull;
+}
+
+void fnv1a(std::uint64_t& h, std::uint64_t v) {
+  for (int i = 0; i < 64; i += 8) fnv1a(h, static_cast<std::uint8_t>(v >> i));
+}
+
+/// "count digest" of a ledger, in its order: the bit pattern of each
+/// entry's start sample, its channel and SF, and its payload (length,
+/// then bytes).
+std::string summarize(const std::vector<LedgerEntry>& ledger) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const LedgerEntry& e : ledger) {
+    fnv1a(h, std::bit_cast<std::uint64_t>(e.pkt.start_sample));
+    fnv1a(h, std::uint64_t{e.channel});
+    fnv1a(h, std::uint64_t{e.sf});
+    fnv1a(h, std::uint64_t{e.pkt.payload.size()});
+    for (std::uint8_t b : e.pkt.payload) fnv1a(h, b);
+  }
+  char buf[48];
+  std::snprintf(buf, sizeof buf, "%zu %016llx", ledger.size(),
+                static_cast<unsigned long long>(h));
+  return buf;
+}
+
+/// Restores the process-global FFT backend active when the test started.
+struct BackendGuard {
+  const char* prev = dsp::active_fft_backend().name();
+  ~BackendGuard() { dsp::set_fft_backend(prev); }
+};
+
+// The pinned decode below: its ledger's "count digest", and its stats
+// line from "channels" to the end, one channel per line.
+constexpr const char* kPinnedLedger = "23 84f3f8ff4c761901";
+// clang-format off
+constexpr const char* kPinnedLaneStats =
+    R"("channels":{"0":{"samples_in":2000000,"chunks":62,"segments":6,"forced_cuts":0,"spans_refined":3,"samples_retired":2000000,"live_packets":0,"peak_live_packets":5,"high_water_samples":1005568,"packets_emitted":6,"rx":{"detected":7,"header_ok":6,"crc_ok":6,"decoded_first_pass":6,"decoded_second_pass":0,"bec":{"delta_prime":0,"delta1":361,"delta2":2,"delta3":0,"crc_checks":7,"blocks_no_repair":89,"candidate_blocks":5},"rescued_packets":6,"rescued_codewords":1}},)"
+    R"("1":{"samples_in":2000000,"chunks":62,"segments":6,"forced_cuts":0,"spans_refined":3,"samples_retired":2000000,"live_packets":0,"peak_live_packets":3,"high_water_samples":1005568,"packets_emitted":5,"rx":{"detected":5,"header_ok":5,"crc_ok":5,"decoded_first_pass":5,"decoded_second_pass":0,"bec":{"delta_prime":0,"delta1":0,"delta2":0,"delta3":0,"crc_checks":5,"blocks_no_repair":0,"candidate_blocks":0},"rescued_packets":5,"rescued_codewords":0}},)"
+    R"("2":{"samples_in":2000000,"chunks":62,"segments":6,"forced_cuts":0,"spans_refined":3,"samples_retired":2000000,"live_packets":0,"peak_live_packets":3,"high_water_samples":1005568,"packets_emitted":6,"rx":{"detected":6,"header_ok":6,"crc_ok":6,"decoded_first_pass":6,"decoded_second_pass":0,"bec":{"delta_prime":0,"delta1":0,"delta2":0,"delta3":0,"crc_checks":6,"blocks_no_repair":0,"candidate_blocks":0},"rescued_packets":6,"rescued_codewords":0}},)"
+    R"("3":{"samples_in":2000000,"chunks":62,"segments":7,"forced_cuts":0,"spans_refined":5,"samples_retired":2000000,"live_packets":0,"peak_live_packets":6,"high_water_samples":1021952,"packets_emitted":6,"rx":{"detected":6,"header_ok":6,"crc_ok":6,"decoded_first_pass":6,"decoded_second_pass":0,"bec":{"delta_prime":0,"delta1":0,"delta2":0,"delta3":0,"crc_checks":6,"blocks_no_repair":0,"candidate_blocks":0},"rescued_packets":6,"rescued_codewords":0}}},)"
+    R"("totals":{"samples_in":8000000,"chunks":248,"segments":25,"forced_cuts":0,"spans_refined":14,"samples_retired":8000000,"live_packets":0,"peak_live_packets":17,"high_water_samples":4038656,"packets_emitted":23,"rx":{"detected":24,"header_ok":23,"crc_ok":23,"decoded_first_pass":23,"decoded_second_pass":0,"bec":{"delta_prime":0,"delta1":361,"delta2":2,"delta3":0,"crc_checks":24,"blocks_no_repair":89,"candidate_blocks":5},"rescued_packets":23,"rescued_codewords":1}}})";
+// clang-format on
+
+TEST(Fleet, LedgerMatchesPinnedOutput) {
+  // The fleet leg of the A/B decode check, in process: the composite
+  // `tnb_gen --channels 4 --sf 8 --duration 1 --load 6 --seed 7` draws
+  // (before its int16 quantization), decoded through the two-thread
+  // pipeline at tnb_streamd's default chunk by a lane bank at SF 7 and 8,
+  // on the scalar backend. The ledger digest and every StreamingStats
+  // field past the fleet header (whose resident-IQ high water depends on
+  // thread timing) were captured while the ledger was a locked shared
+  // object; the lane-owned ledger must reproduce them at every worker
+  // count. The trace is synthesized with libm, so another libm can shift
+  // it.
+  const BackendGuard guard;
+  ASSERT_TRUE(dsp::set_fft_backend("scalar"));
+  const lora::Params p{.sf = 8, .cr = 4, .bandwidth_hz = 125e3, .osf = 8};
+  const unsigned n_channels = 4;
+  Rng rng(7);
+  sim::TraceOptions topt;
+  topt.duration_s = 1.0;
+  topt.load_pps = 6.0;
+  topt.nodes = sim::indoor_deployment().draw_nodes(rng);
+  std::vector<IqBuffer> per_channel;
+  for (const auto& t :
+       sim::build_multichannel_traces(p, topt, n_channels, rng)) {
+    per_channel.push_back(t.iq);
+  }
+  const IqBuffer wideband = mix_channels(per_channel, n_channels);
+
+  for (const int lanes : {1, 4}) {
+    SCOPED_TRACE("lanes=" + std::to_string(lanes));
+    FleetOptions fopt;
+    fopt.n_channels = n_channels;
+    fopt.sfs = {7, 8};
+    fopt.lanes = lanes;
+    Fleet fleet(p, fopt);
+    const std::size_t chunk = 16 * p.sps() * n_channels;
+    stream::BufferSource src(wideband);
+    stream::IqRing ring(8 * chunk);
+    run_fleet_pipeline(src, ring, fleet, chunk);
+
+    EXPECT_EQ(summarize(fleet.ledger()), kPinnedLedger);
+    const FleetStats st = fleet.stats();
+    EXPECT_EQ(st.packets, fleet.ledger().size());
+    const std::string json = st.to_json();
+    const std::size_t lane_part = json.find("\"channels\":{");
+    ASSERT_NE(lane_part, std::string::npos) << json;
+    EXPECT_EQ(json.substr(lane_part), kPinnedLaneStats);
+  }
 }
 
 TEST(Fleet, LifecycleAndAccounting) {
