@@ -21,7 +21,7 @@
 // are bit-identical for a fixed seed regardless of thread count. A config
 // whose severity is zero (is_noop()) is dropped at Pipeline construction
 // and consumes no Rng draws at all — a zero-severity chain is bit-identical
-// to no chain, which the equality tests and the impair-smoke CI job pin.
+// to no chain, which the equality tests and the cli_smoke ctest pin.
 //
 // Streaming: the same stages run chunk-by-chunk via process_stream()
 // (tnb_streamd --impair) with state carried across chunks; inter_sf is

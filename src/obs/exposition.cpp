@@ -1,4 +1,4 @@
-// Snapshot exporters: Prometheus text exposition and one-line JSON.
+// Snapshot exporters: Prometheus text exposition and histogram summaries.
 //
 // Prometheus format (https://prometheus.io/docs/instrumenting/exposition_formats/):
 // one HELP/TYPE pair per metric family (consecutive same-name snapshot
@@ -9,7 +9,6 @@
 #include <cinttypes>
 #include <cstdio>
 
-#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
 namespace tnb::obs {
@@ -69,19 +68,6 @@ std::string format_bound(double b) {
   return buf;
 }
 
-/// JSON metric key: name plus any labels, e.g. `tnb_stage{stage=detect}`.
-std::string json_key(const Snapshot::Metric& m) {
-  if (m.labels.empty()) return m.name;
-  std::string out = m.name + "{";
-  bool first = true;
-  for (const auto& [k, v] : m.labels) {
-    if (!first) out += ',';
-    first = false;
-    out += k + "=" + v;
-  }
-  return out + "}";
-}
-
 }  // namespace
 
 std::string Snapshot::to_prometheus() const {
@@ -125,42 +111,6 @@ std::string histogram_summary(const Snapshot::Metric& h) {
                 h.count, h.sum / static_cast<double>(h.count),
                 histogram_quantile(h, 0.5), histogram_quantile(h, 0.99));
   return buf;
-}
-
-std::string Snapshot::to_json() const {
-  JsonWriter w;
-  w.begin_object();
-  w.key("counters").begin_object();
-  for (const Metric& m : metrics) {
-    if (m.kind == Kind::kCounter) {
-      w.field(json_key(m), static_cast<std::uint64_t>(m.value));
-    }
-  }
-  w.end_object();
-  w.key("gauges").begin_object();
-  for (const Metric& m : metrics) {
-    if (m.kind == Kind::kGauge) {
-      w.field(json_key(m), static_cast<std::int64_t>(m.value));
-    }
-  }
-  w.end_object();
-  w.key("histograms").begin_object();
-  for (const Metric& m : metrics) {
-    if (m.kind != Kind::kHistogram) continue;
-    w.key(json_key(m)).begin_object();
-    w.field("count", m.count);
-    w.field("sum", m.sum);
-    w.key("bounds").begin_array();
-    for (const double b : m.bounds) w.value(b);
-    w.end_array();
-    w.key("buckets").begin_array();
-    for (const std::uint64_t b : m.buckets) w.value(b);
-    w.end_array();
-    w.end_object();
-  }
-  w.end_object();
-  w.end_object();
-  return w.take();
 }
 
 }  // namespace tnb::obs

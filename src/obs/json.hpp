@@ -1,5 +1,5 @@
 // Minimal one-line JSON object/array writer — the single serialization
-// path behind every stats line the tools print (obs::Snapshot::to_json,
+// path behind every stats line the tools print (fleet::FleetStats::to_json,
 // rx::ReceiverStats::to_json, stream::StreamingStats::to_json), so the
 // schemas cannot drift apart field by field.
 //

@@ -163,9 +163,6 @@ struct Snapshot {
   /// histogram buckets with le labels, counters suffixed _total by
   /// convention of the caller-supplied names).
   std::string to_prometheus() const;
-
-  /// One-line JSON: {"counters":{...},"gauges":{...},"histograms":{...}}.
-  std::string to_json() const;
 };
 
 /// Estimated q-quantile (0..1) of a snapshot histogram, by linear

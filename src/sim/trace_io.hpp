@@ -4,7 +4,7 @@
 // ... sampled at OSF x BW (1 Msps in the paper). These helpers read and
 // write that format so synthetic traces can be exported and real USRP
 // captures decoded. read_trace_i16_chunk is the incremental variant used by
-// the streaming sources (stream::IstreamSource / FileReplaySource): it pulls
+// the streaming source (stream::IstreamSource, stdin or a file): it pulls
 // a bounded number of samples per call and copes with the partial reads a
 // pipe delivers.
 #pragma once

@@ -1,8 +1,6 @@
 #include "stream/chunk_source.hpp"
 
 #include <algorithm>
-#include <stdexcept>
-#include <thread>
 
 #include "sim/trace_io.hpp"
 
@@ -24,33 +22,6 @@ std::size_t IstreamSource::next(IqBuffer& out, std::size_t max_samples) {
   }
   return sim::read_trace_i16_chunk(*in_, out, max_samples, scale_,
                                    &byte_offset_, &truncated_);
-}
-
-FileReplaySource::FileReplaySource(const std::string& path, double scale,
-                                   double pace_sample_rate_hz)
-    : file_(path, std::ios::binary),
-      raw_(file_, scale),
-      rate_(pace_sample_rate_hz) {
-  if (!file_) {
-    throw std::runtime_error("FileReplaySource: cannot open " + path);
-  }
-}
-
-std::size_t FileReplaySource::next(IqBuffer& out, std::size_t max_samples) {
-  const std::size_t n = raw_.next(out, max_samples);
-  if (n == 0 || rate_ <= 0.0) return n;
-  if (!started_) {
-    start_ = std::chrono::steady_clock::now();
-    started_ = true;
-  }
-  emitted_ += n;
-  // Release point of the last sample of this chunk on the live timeline.
-  const auto due =
-      start_ + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                   std::chrono::duration<double>(
-                       static_cast<double>(emitted_) / rate_));
-  std::this_thread::sleep_until(due);
-  return n;
 }
 
 }  // namespace tnb::stream

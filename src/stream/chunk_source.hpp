@@ -1,19 +1,15 @@
 // Chunked IQ sources feeding the streaming gateway pipeline.
 //
 // A ChunkSource hands out bounded chunks of baseband samples so the
-// consumer never has to hold a whole capture: file replay (optionally paced
-// to real time, mimicking a live radio), any std::istream (tnb_streamd
-// reads stdin this way), and an in-process buffer source for tests and
-// examples. All int16 sources use the paper artifact's interleaved I/Q
-// trace format via sim::read_trace_i16_chunk.
+// consumer never has to hold a whole capture: any std::istream (tnb_streamd
+// reads stdin and --in files this way) and an in-process buffer source for
+// tests and examples. The int16 source uses the paper artifact's
+// interleaved I/Q trace format via sim::read_trace_i16_chunk.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <istream>
 #include <span>
-#include <string>
 
 #include "common/types.hpp"
 
@@ -40,7 +36,7 @@ class BufferSource final : public ChunkSource {
   std::size_t pos_ = 0;
 };
 
-/// int16-interleaved IQ from an already open stream (e.g. stdin).
+/// int16-interleaved IQ from an already open stream (stdin, a file).
 ///
 /// Short reads and a stream torn mid IQ pair (a producer killed between
 /// the I and Q halves of a sample) are not fatal: next() delivers the
@@ -67,30 +63,6 @@ class IstreamSource final : public ChunkSource {
   double scale_;
   std::uint64_t byte_offset_ = 0;
   bool truncated_ = false;
-};
-
-/// int16 file replay. With `pace_sample_rate_hz` > 0, next() sleeps so that
-/// samples are released no faster than a live front end at that rate would
-/// produce them — the file replays in real time against the ring buffer's
-/// backpressure, like the paper's 1 Msps USRP feed.
-class FileReplaySource final : public ChunkSource {
- public:
-  FileReplaySource(const std::string& path, double scale = 1024.0,
-                   double pace_sample_rate_hz = 0.0);
-
-  std::size_t next(IqBuffer& out, std::size_t max_samples) override;
-
-  /// True once the file ended in the middle of an IQ pair (see
-  /// IstreamSource::truncated_tail).
-  bool truncated_tail() const { return raw_.truncated_tail(); }
-
- private:
-  std::ifstream file_;
-  IstreamSource raw_;
-  double rate_;
-  std::uint64_t emitted_ = 0;
-  std::chrono::steady_clock::time_point start_{};
-  bool started_ = false;
 };
 
 }  // namespace tnb::stream

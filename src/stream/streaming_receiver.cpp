@@ -24,7 +24,7 @@ rx::DetectorOptions liveness_options(rx::DetectorOptions opt) {
 }  // namespace
 
 std::string StreamingStats::to_json() const {
-  // Shared serialization path with obs::Snapshot::to_json — schema pinned
+  // Shared serialization path with ReceiverStats::to_json — schema pinned
   // by tests/test_obs.cpp (StreamingStatsJson).
   obs::JsonWriter w;
   w.begin_object();

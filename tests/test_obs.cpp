@@ -178,21 +178,6 @@ TEST(Exposition, HelpAndTypeOncePerLabeledFamily) {
   EXPECT_NE(text.find("fam{k=\"b\"} 2\n"), std::string::npos);
 }
 
-TEST(Exposition, JsonExporter) {
-  Registry reg;
-  reg.counter("c", "", {{"k", "v"}}).inc(7);
-  reg.gauge("g").set(-1);
-  const double bounds[] = {1.0};
-  HistogramRef h = reg.histogram("h", bounds);
-  h.observe(0.5);
-  const std::string json = reg.snapshot().to_json();
-  EXPECT_EQ(json,
-            "{\"counters\":{\"c{k=v}\":7},"
-            "\"gauges\":{\"g\":-1},"
-            "\"histograms\":{\"h\":{\"count\":1,\"sum\":0.5,"
-            "\"bounds\":[1],\"buckets\":[1,0]}}}");
-}
-
 TEST(Quantile, InterpolatesWithinBucket) {
   Registry reg;
   const double bounds[] = {10.0, 20.0, 40.0};

@@ -202,20 +202,5 @@ TEST(ChunkSourceHardening, IstreamSourceCleanStreamHasNoTruncation) {
   EXPECT_EQ(src.byte_offset(), 8u);
 }
 
-TEST(ChunkSourceHardening, FileReplaySourceSurfacesTruncationStatus) {
-  const std::string path = ::testing::TempDir() + "tnb_torn_replay.bin";
-  {
-    std::ofstream f(path, std::ios::binary);
-    f.write("\0\1\2\3\4\5", 6);  // 1 whole sample + half a pair
-  }
-  stream::FileReplaySource src(path);
-  IqBuffer chunk;
-  std::size_t total = 0;
-  while (src.next(chunk, 16) > 0) total += chunk.size();
-  EXPECT_EQ(total, 1u);
-  EXPECT_TRUE(src.truncated_tail());
-  std::remove(path.c_str());
-}
-
 }  // namespace
 }  // namespace tnb::sim

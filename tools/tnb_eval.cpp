@@ -46,7 +46,9 @@
 #include "sim/metrics.hpp"
 #include "sim/trace_io.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace tnb;
 
   std::string in, scheme = "tnb", metrics_file;
@@ -197,4 +199,17 @@ int main(int argc, char** argv) {
     out << snap.to_prometheus();
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A file that cannot be read (or a trace the library rejects) ends the
+  // run with "tnb_eval: <reason>" and exit status 1, not an abort.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "tnb_eval: %s\n", e.what());
+    return 1;
+  }
 }

@@ -47,7 +47,9 @@
 #include "sim/trace_builder.hpp"
 #include "sim/trace_io.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace tnb;
 
   std::string out, deployment = "indoor", channel = "none";
@@ -201,4 +203,17 @@ int main(int argc, char** argv) {
     std::printf("impair %s\n", cfg.to_string().c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A file that cannot be written (or a trace the library rejects) ends the
+  // run with "tnb_gen: <reason>" and exit status 1, not an abort.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "tnb_gen: %s\n", e.what());
+    return 1;
+  }
 }

@@ -1,7 +1,7 @@
 // tnb_promcheck — CLI front end of the Prometheus exposition validator in
-// promcheck_lib (shared with the fuzz/property harnesses). The CI
-// metrics-smoke job runs it on real daemon output from tnb_streamd /
-// tnb_eval (--metrics-file).
+// promcheck_lib (shared with the fuzz/property harnesses). The cli_smoke
+// ctest runs it on real daemon output: tnb_streamd's --metrics-history
+// snapshots and --metrics-file.
 //
 //   tnb_promcheck [--require SUBSTRING]... FILE...
 //

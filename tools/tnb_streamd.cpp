@@ -27,6 +27,8 @@
 //
 // Without --in (or with `--in -`) samples are read from stdin, so a trace
 // can be piped straight through:  tnb_gen ... && tnb_streamd < trace.bin
+// A file named by --in is read the same way; one that cannot be opened
+// exits 1.
 //
 // A producer thread feeds the SPSC ring buffer (blocking backpressure by
 // default; --drop switches to the radio-front-end policy of dropping
@@ -37,8 +39,8 @@
 // and once at the end. --metrics-file rewrites a Prometheus text snapshot
 // of the tnb::obs registry (stage timings, ring and stream counters) on
 // every stats tick and at exit; --metrics-history PREFIX additionally
-// keeps every snapshot as PREFIX.NNN.prom (CI uses the sequence to verify
-// counter monotonicity). --realtime paces file replay at the sample rate.
+// keeps every snapshot as PREFIX.NNN.prom (tnb_promcheck verifies counter
+// monotonicity across the sequence).
 //
 // SIGINT/SIGTERM trigger a clean shutdown: the ring is closed (remaining
 // producer samples are counted as dropped), the pipeline winds down, and
@@ -48,6 +50,7 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <iostream>
 #include <memory>
 #include <mutex>
@@ -105,7 +108,7 @@ int main(int argc, char** argv) {
   double scale = 1024.0, stats_interval_s = 1.0;
   std::size_t chunk = 0, ring_capacity = 0;
   stream::StreamingOptions sopt;
-  bool realtime = false, drop = false, quiet = false;
+  bool drop = false, quiet = false;
   lora::Coding coding = lora::Coding::kPaper;
   std::uint8_t implicit_len = 0;
   unsigned n_channels = 1;
@@ -128,7 +131,7 @@ int main(int argc, char** argv) {
        {"--stats-interval SECONDS", cli::number(stats_interval_s, 0.0, 1e9)},
        {"--metrics-file FILE", cli::text(metrics_file)},
        {"--metrics-history PREFIX", cli::text(metrics_history)},
-       {"--realtime", cli::set(realtime)}, {"--drop", cli::set(drop)},
+       {"--drop", cli::set(drop)},
        cli::implicit_len(implicit_len),
        {"--seed N", cli::number<std::uint64_t>(sopt.rng_seed, 0, UINT64_MAX)},
        {"--quiet", cli::set(quiet)}, cli::wire_format(coding),
@@ -195,14 +198,20 @@ int main(int argc, char** argv) {
     });
   }
 
-  std::unique_ptr<stream::ChunkSource> source;
+  std::ifstream file;
+  std::istream* input = &std::cin;
   if (in == "-") {
     std::ios::sync_with_stdio(false);
-    source = std::make_unique<stream::IstreamSource>(std::cin, scale);
   } else {
-    source = std::make_unique<stream::FileReplaySource>(
-        in, scale, realtime ? in_rate : 0.0);
+    file.open(in, std::ios::binary);
+    if (!file) {
+      std::fprintf(stderr, "tnb_streamd: cannot open %s\n", in.c_str());
+      return 1;
+    }
+    input = &file;
   }
+  std::unique_ptr<stream::ChunkSource> source =
+      std::make_unique<stream::IstreamSource>(*input, scale);
   if (!impairments.empty()) {
     try {
       source = std::make_unique<stream::ImpairedSource>(
