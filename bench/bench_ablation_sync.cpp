@@ -18,6 +18,7 @@ int main() {
                       "paper Section 7 complexity discussion");
   lora::Params p{.sf = 8, .cr = 4, .bandwidth_hz = 125e3, .osf = 8};
   const rx::FracSync fs(p);
+  lora::Workspace ws(p);
   const lora::Modulator mod(p);
   Rng rng(9);
 
@@ -45,7 +46,7 @@ int main() {
     const double base = 2.0 * static_cast<double>(p.sps());
 
     const auto c0 = std::chrono::steady_clock::now();
-    const rx::FracSyncResult r3 = fs.refine(trace, base, 0.0);
+    const rx::FracSyncResult r3 = fs.refine(trace, base, 0.0, ws);
     const auto c1 = std::chrono::steady_clock::now();
 
     // Naive: full grid over df in [-1, 1] step 1/16 and dt in [-1, 1]
@@ -56,7 +57,7 @@ int main() {
       for (int j = -static_cast<int>(p.osf); j <= static_cast<int>(p.osf); ++j) {
         const double df = i / 16.0;
         const double dt = static_cast<double>(j) / p.osf;
-        const double q = fs.q(trace, base, 0.0, dt, df, /*gate=*/true);
+        const double q = fs.q(trace, base, 0.0, dt, df, /*gate=*/true, ws);
         ++evals_naive;
         if (q > best_q) {
           best_q = q;

@@ -31,6 +31,7 @@ int main() {
   chan::add_awgn(trace, 0.5, rng);
 
   const rx::FracSync fs(p);
+  lora::Workspace ws(p);
 
   std::printf("Q(dt, df) surface (rows: dt in receiver samples; cols: df in "
               "cycles):\n%8s", "");
@@ -44,7 +45,7 @@ int main() {
     std::printf("%8.2f", dt);
     for (int j = 0; j <= df_steps; ++j) {
       const double df = -1.0 + 2.0 * j / df_steps;
-      const double q = fs.q(trace, static_cast<double>(t0), 0.0, dt, df, false);
+      const double q = fs.q(trace, static_cast<double>(t0), 0.0, dt, df, false, ws);
       std::printf("%8.0f", q / 1e3);
     }
     std::printf("\n");
@@ -55,11 +56,11 @@ int main() {
   for (int j = 0; j <= df_steps; ++j) {
     const double df = -1.0 + 2.0 * j / df_steps;
     std::printf("  df=%6.2f  Q*=%-12.0f Q=%.0f\n", df,
-                fs.q(trace, static_cast<double>(t0), 0.0, 0.0, df, true),
-                fs.q(trace, static_cast<double>(t0), 0.0, 0.0, df, false));
+                fs.q(trace, static_cast<double>(t0), 0.0, 0.0, df, true, ws),
+                fs.q(trace, static_cast<double>(t0), 0.0, 0.0, df, false, ws));
   }
 
-  const rx::FracSyncResult r = fs.refine(trace, static_cast<double>(t0), 0.0);
+  const rx::FracSyncResult r = fs.refine(trace, static_cast<double>(t0), 0.0, ws);
   std::printf("\n3-phase search found dt=%.3f (true %.1f), df=%.3f (true "
               "%.2f), gated=%d\n",
               r.dt, true_dt, r.df, true_df, r.gated ? 1 : 0);

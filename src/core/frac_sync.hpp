@@ -9,16 +9,21 @@
 // off by +/-1 cycle) and that Q* (Q gated on the peaks being at location 1)
 // rejects the off-by-one lines.
 //
-// refine() runs the search through a per-refine evaluation cache: for a
-// fixed dt the 10 preamble windows are extracted once and shared across
-// both CFO lines, and each evaluated (dt, df) point stores both its
-// ungated value and its Q* gate verdict — so the gated -> ungated fallback
-// and the phase-3 points that revisit the phase-2 grid cost nothing. The
-// cache is bit-exact: every point is still the exact objective (spectra
-// are keyed by the full CFO including df, never approximated), and ties
-// are resolved in the original search order, so refine() returns exactly
-// what an uncached grid search over q() returns (pinned by
-// tests/test_demod_workspace.cpp).
+// refine() computes each transform once. Phases 2 and 3 visit window
+// starts t0 + dt within 1.5 samples of t0; extract_window interpolates
+// linearly between the integer starts floor(s) and floor(s) + 1, and
+// dechirp and FFT are linear, so the spectra at s = i + theta are
+// (1 - theta) S(i) + theta S(i + 1) with extract_window's float weights.
+// refine() therefore dechirps and transforms the 10 preamble windows once
+// per integer start the search needs (at most five), at the df* line,
+// keeping only the bins fold() reads. The df* + 1 line is one more whole
+// cycle of CFO correction: the same spectra read one bin up. The chosen
+// point gets one exact time-domain evaluation, so FracSyncResult::q is the
+// exact objective q() returns there. When the Q* gate never passes, refine
+// keeps the coarse estimate (dt = df = 0, gated = false). The test oracle
+// testing::reference_refine runs the same search over q() at every point;
+// refine must take each of its gated decisions bit for bit
+// (tests/test_frac_sync_reference.cpp).
 #pragma once
 
 #include <span>
@@ -32,8 +37,8 @@ namespace tnb::rx {
 struct FracSyncResult {
   double dt = 0.0;      ///< timing refinement, receiver samples
   double df = 0.0;      ///< CFO refinement, cycles per symbol
-  double q = 0.0;       ///< objective at the chosen point
-  bool gated = true;    ///< false if the Q* gate never passed (fallback used)
+  double q = 0.0;       ///< exact gated objective at (dt, df); 0 if ungated
+  bool gated = true;    ///< false if the Q* gate never passed (dt = df = 0)
 };
 
 class FracSync {
@@ -42,37 +47,35 @@ class FracSync {
 
   /// Refines (t0, cfo) of a coarsely-synchronized packet whose preamble
   /// starts at `t0` in `trace`. Add the returned dt/df to the coarse
-  /// values. `ws` supplies all scratch (general slots 0-3 and SV slots
-  /// 0-1 are clobbered); the overload without one uses a per-thread
-  /// workspace.
+  /// values. `ws` supplies all scratch (general slots 0 and 2-5 and SV
+  /// slots 0-1 are clobbered).
   FracSyncResult refine(std::span<const cfloat> trace, double t0,
                         double cfo_cycles, lora::Workspace& ws) const;
-  FracSyncResult refine(std::span<const cfloat> trace, double t0,
-                        double cfo_cycles) const;
 
-  /// The search objective (exposed for tests and the Fig. 8 bench).
+  /// The exact search objective (exposed for tests and the Fig. 8 bench).
   /// Returns the preamble peak energy; if `gate` is set, returns 0 unless
-  /// both the upchirp-sum and downchirp-sum peaks are at bin 0.
+  /// both the upchirp-sum and downchirp-sum peaks are at bin 0. `ws` is
+  /// clobbered as by refine().
   double q(std::span<const cfloat> trace, double t0, double cfo_cycles,
-           double dt, double df, bool gate) const;
+           double dt, double df, bool gate, lora::Workspace& ws) const;
 
  private:
-  /// One exact objective evaluation: the ungated value plus the Q* gate
-  /// verdict, so a single computation serves both gatings.
+  /// One objective evaluation: the ungated value plus the Q* gate verdict.
   struct QEval {
     double value = 0.0;
     bool gate_pass = false;
   };
 
   /// Extracts the 10 preamble windows (8 up, 2 down) starting at `start`
-  /// (= t0 + dt) into the workspace window block.
-  void extract_preamble(std::span<const cfloat> trace, double start,
-                        lora::Workspace& ws) const;
+  /// into workspace slot 0 and dechirps + transforms them there in place
+  /// at the CFO correction `cfo`.
+  void transform_preamble(std::span<const cfloat> trace, double start,
+                          double cfo, lora::Workspace& ws) const;
 
-  /// Evaluates the objective from the extracted window block at the full
-  /// CFO correction `cfo` (= coarse + df); `theta` (= t0 + dt) selects the
-  /// interpolation-gain normalization.
-  QEval eval_preamble(double theta, double cfo, lora::Workspace& ws) const;
+  /// The exact objective at window start `start` and full CFO correction
+  /// `cfo` (= coarse + df), from a fresh transform of the preamble.
+  QEval exact_eval(std::span<const cfloat> trace, double start, double cfo,
+                   lora::Workspace& ws) const;
 
   lora::Params p_;
   lora::Demodulator demod_;

@@ -38,8 +38,8 @@ struct Tracked {
 std::string ReceiverStats::to_json() const {
   const std::size_t rescued_codewords = std::accumulate(
       rescued_per_packet.begin(), rescued_per_packet.end(), std::size_t{0});
-  // Shared serialization path with obs::Snapshot::to_json — schema pinned
-  // by tests/test_obs.cpp (ReceiverStatsJson).
+  // Written with obs::JsonWriter, like the tools' stats lines — schema
+  // pinned by tests/test_obs.cpp (ReceiverStatsJson).
   obs::JsonWriter w;
   w.begin_object();
   w.field("detected", detected);

@@ -19,7 +19,8 @@ double interpolate_peak(std::span<const float> x, std::size_t i) {
   return static_cast<double>(i) + std::clamp(delta, -0.5, 0.5);
 }
 
-/// Core linear-scan peak search over `x` with selectivity `sel`.
+/// Core linear-scan peak search over `x` with selectivity `sel`, calling
+/// `emit(i)` for each peak in increasing index order.
 ///
 /// Walks the samples tracking the deepest valley since the last accepted
 /// peak. A local maximum becomes a candidate once it rises `sel` above that
@@ -27,10 +28,10 @@ double interpolate_peak(std::span<const float> x, std::size_t i) {
 /// candidate (or the series ends). A later, higher maximum before that drop
 /// replaces the candidate — identical in effect to Yoder's alternating
 /// max/min scan.
-std::vector<std::size_t> scan(std::span<const float> x, double sel) {
-  std::vector<std::size_t> peaks;
+template <class Emit>
+void scan(std::span<const float> x, double sel, Emit&& emit) {
   const std::size_t n = x.size();
-  if (n == 0) return peaks;
+  if (n == 0) return;
 
   double left_min = x[0];
   bool have_candidate = false;
@@ -44,7 +45,7 @@ std::vector<std::size_t> scan(std::span<const float> x, double sel) {
         cand_mag = v;
         cand_idx = i;
       } else if (cand_mag - v >= sel) {
-        peaks.push_back(cand_idx);
+        emit(cand_idx);
         have_candidate = false;
         left_min = v;
       }
@@ -60,8 +61,7 @@ std::vector<std::size_t> scan(std::span<const float> x, double sel) {
   // Yoder keeps a trailing candidate only when endpoints are included; for
   // signal vectors a candidate at the very end that never descended is still
   // a real peak if it rose by sel, so keep it.
-  if (have_candidate) peaks.push_back(cand_idx);
-  return peaks;
+  if (have_candidate) emit(cand_idx);
 }
 
 }  // namespace
@@ -78,29 +78,27 @@ std::vector<Peak> find_peaks(std::span<const float> x,
     sel = (static_cast<double>(*mx) - static_cast<double>(*mn)) / 4.0;
   }
 
-  std::vector<std::size_t> idx;
+  const auto keep = [&](std::size_t i) {
+    if (opt.use_threshold && x[i] < opt.threshold) return;
+    result.push_back(Peak{i, x[i], interpolate_peak(x, i)});
+  };
   if (opt.circular) {
     // Extend by half the vector on both sides so peaks near the wrap point
-    // see their true valleys; then map back and deduplicate.
+    // see their true valleys (three block copies: last half, all, first
+    // half), then keep the peaks of the middle copy. scan() emits indices
+    // in increasing order, so each bin is kept at most once.
     const std::size_t ext = n / 2;
-    std::vector<float> wrapped(n + 2 * ext);
-    for (std::size_t i = 0; i < wrapped.size(); ++i) {
-      wrapped[i] = x[(i + n - ext) % n];
-    }
-    std::vector<std::size_t> raw = scan(wrapped, sel);
-    for (std::size_t i : raw) {
-      if (i >= ext && i < ext + n) idx.push_back(i - ext);
-    }
-    std::sort(idx.begin(), idx.end());
-    idx.erase(std::unique(idx.begin(), idx.end()), idx.end());
+    const auto half = static_cast<std::ptrdiff_t>(ext);
+    std::vector<float> wrapped;
+    wrapped.reserve(n + 2 * ext);
+    wrapped.insert(wrapped.end(), x.end() - half, x.end());
+    wrapped.insert(wrapped.end(), x.begin(), x.end());
+    wrapped.insert(wrapped.end(), x.begin(), x.begin() + half);
+    scan(wrapped, sel, [&](std::size_t i) {
+      if (i >= ext && i < ext + n) keep(i - ext);
+    });
   } else {
-    idx = scan(x, sel);
-  }
-
-  result.reserve(idx.size());
-  for (std::size_t i : idx) {
-    if (opt.use_threshold && x[i] < opt.threshold) continue;
-    result.push_back(Peak{i, x[i], interpolate_peak(x, i)});
+    scan(x, sel, keep);
   }
 
   std::sort(result.begin(), result.end(),

@@ -326,25 +326,10 @@ std::size_t run_fleet_pipeline(
     stream::ChunkSource& src, stream::IqRing& ring, Fleet& fleet,
     std::size_t chunk_samples, bool backpressure,
     const std::function<void(std::size_t samples_consumed)>& on_chunk) {
-  std::thread producer([&] {
-    IqBuffer chunk;
-    while (src.next(chunk, chunk_samples) > 0) {
-      if (backpressure) {
-        ring.push(chunk);
-      } else {
-        ring.try_push(chunk);
-      }
-    }
-    ring.close();
-  });
-  IqBuffer chunk;
-  std::size_t total = 0;
-  while (ring.pop(chunk, chunk_samples) > 0) {
-    fleet.push_wideband(chunk);
-    total += chunk.size();
-    if (on_chunk) on_chunk(total);
-  }
-  producer.join();
+  const std::size_t total = stream::pump(
+      src, ring, chunk_samples, backpressure,
+      [&fleet](std::span<const cfloat> chunk) { fleet.push_wideband(chunk); },
+      on_chunk);
   fleet.finish();
   return total;
 }

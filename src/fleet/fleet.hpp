@@ -202,12 +202,12 @@ class Fleet {
   Instrumentation obs_;
 };
 
-/// Two-thread wideband pipeline, the fleet twin of stream::run_pipeline: a
-/// producer thread drains `src` into `ring` (blocking push when
-/// `backpressure`, counted drops otherwise) while the calling thread pops
-/// wideband chunks into `fleet`, then finishes it. `on_chunk`, when set,
-/// is called after each consumed chunk with the running wideband sample
-/// total (the daemon's stats hook). Returns wideband samples consumed.
+/// Two-thread wideband pipeline, the fleet twin of stream::run_pipeline:
+/// stream::pump feeding wideband chunks into `fleet`, which is then
+/// finished. `on_chunk`, when set, is called after each consumed chunk with
+/// the running wideband sample total (the daemon's stats hook). Returns
+/// wideband samples consumed; rethrows a read or decode failure as
+/// stream::pump does.
 std::size_t run_fleet_pipeline(
     stream::ChunkSource& src, stream::IqRing& ring, Fleet& fleet,
     std::size_t chunk_samples, bool backpressure = true,

@@ -11,12 +11,20 @@ double upchirp_phase(double x, std::size_t n_bins) {
   return kTwoPi * (x * x / (2.0 * n) - x / 2.0);
 }
 
-cfloat eval_upchirp(double u, std::uint32_t h, std::size_t n_bins) {
+double upchirp_position(double u, std::uint32_t h, std::size_t n_bins) {
   double x = u + static_cast<double>(h);
   const double n = static_cast<double>(n_bins);
   if (x >= n) x -= n;
+  return x;
+}
+
+cfloat base_upchirp(double x, std::size_t n_bins) {
   const double ph = upchirp_phase(x, n_bins);
   return {static_cast<float>(std::cos(ph)), static_cast<float>(std::sin(ph))};
+}
+
+cfloat eval_upchirp(double u, std::uint32_t h, std::size_t n_bins) {
+  return base_upchirp(upchirp_position(u, h, n_bins), n_bins);
 }
 
 cfloat eval_downchirp(double u, std::size_t n_bins) {

@@ -19,8 +19,16 @@ namespace tnb::lora {
 /// psi(x) = 2*pi*(x^2/(2N) - x/2): frequency sweeps from -BW/2 to +BW/2.
 double upchirp_phase(double x, std::size_t n_bins);
 
+/// Position on the base upchirp of a symbol with cyclic shift `h` at local
+/// time `u` chirp samples into the symbol: x = u + h, wrapped into [0, N).
+double upchirp_position(double u, std::uint32_t h, std::size_t n_bins);
+
+/// Complex value of the base upchirp at position x: e^{j psi(x)}.
+cfloat base_upchirp(double x, std::size_t n_bins);
+
 /// Complex value of an upchirp symbol with cyclic shift `h`, evaluated at
-/// local time `u` chirp samples into the symbol (u in [0, N)).
+/// local time `u` chirp samples into the symbol (u in [0, N)):
+/// base_upchirp(upchirp_position(u, h)).
 cfloat eval_upchirp(double u, std::uint32_t h, std::size_t n_bins);
 
 /// Complex value of the downchirp (conjugate base chirp) at local time u.

@@ -38,7 +38,10 @@ class Modulator {
   std::size_t packet_samples(std::size_t n_data_symbols) const;
 
   /// Synthesizes the full packet from the raw chirp shifts of its data
-  /// symbols (lora::encode_frame output; shifts wrap modulo 2^SF).
+  /// symbols (lora::encode_frame output; shifts wrap modulo 2^SF). Sample
+  /// i is amplitude * eval_shifts(t_i) * CFO rotation, exactly; the chirp
+  /// values come from a per-packet table keyed by their exact base-chirp
+  /// position, so each distinct chirp value is computed once.
   IqBuffer synthesize_shifts(std::span<const std::uint32_t> shifts,
                              const WaveformOptions& opt = {}) const;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <exception>
 #include <stdexcept>
 #include <thread>
 
@@ -364,29 +365,53 @@ void StreamingReceiver::decode_segment(std::size_t cut) {
   obs_.live_packets.set(static_cast<std::int64_t>(live_.size()));
 }
 
+std::size_t pump(ChunkSource& src, IqRing& ring, std::size_t chunk_samples,
+                 bool backpressure,
+                 const std::function<void(std::span<const cfloat>)>& consume,
+                 const std::function<void(std::size_t)>& on_chunk) {
+  std::exception_ptr produce_error;
+  std::thread producer([&] {
+    try {
+      IqBuffer chunk;
+      while (!ring.closed() && src.next(chunk, chunk_samples) > 0) {
+        if (backpressure) {
+          ring.push(chunk);
+        } else {
+          ring.try_push(chunk);
+        }
+      }
+    } catch (...) {
+      produce_error = std::current_exception();
+    }
+    ring.close();
+  });
+  std::exception_ptr consume_error;
+  std::size_t total = 0;
+  try {
+    IqBuffer chunk;
+    while (ring.pop(chunk, chunk_samples) > 0) {
+      consume(chunk);
+      total += chunk.size();
+      if (on_chunk) on_chunk(total);
+    }
+  } catch (...) {
+    consume_error = std::current_exception();
+    ring.close();
+  }
+  producer.join();
+  if (consume_error) std::rethrow_exception(consume_error);
+  if (produce_error) std::rethrow_exception(produce_error);
+  return total;
+}
+
 std::size_t run_pipeline(
     ChunkSource& src, IqRing& ring, StreamingReceiver& rx,
     std::size_t chunk_samples, bool backpressure,
     const std::function<void(std::size_t samples_consumed)>& on_chunk) {
-  std::thread producer([&] {
-    IqBuffer chunk;
-    while (src.next(chunk, chunk_samples) > 0) {
-      if (backpressure) {
-        ring.push(chunk);
-      } else {
-        ring.try_push(chunk);
-      }
-    }
-    ring.close();
-  });
-  IqBuffer chunk;
-  std::size_t total = 0;
-  while (ring.pop(chunk, chunk_samples) > 0) {
-    rx.push_chunk(chunk);
-    total += chunk.size();
-    if (on_chunk) on_chunk(total);
-  }
-  producer.join();
+  const std::size_t total = pump(
+      src, ring, chunk_samples, backpressure,
+      [&rx](std::span<const cfloat> chunk) { rx.push_chunk(chunk); },
+      on_chunk);
   rx.finish();
   return total;
 }

@@ -196,11 +196,25 @@ class StreamingReceiver {
   Instrumentation obs_;
 };
 
-/// Runs the two-thread gateway pipeline: a producer thread drains `src`
-/// into `ring` chunk by chunk (blocking push when `backpressure`, counted
-/// drops otherwise), while the calling thread pops chunks and feeds `rx`,
-/// then finishes it. `on_chunk`, when set, is called after each consumed
-/// chunk (the daemon's periodic stats hook). Returns samples decoded.
+/// The two-thread producer/consumer pump behind both gateway pipelines: a
+/// producer thread drains `src` into `ring` chunk by chunk (blocking push
+/// when `backpressure`, counted drops otherwise), while the calling thread
+/// pops chunks, hands each to `consume`, and then calls `on_chunk` (when
+/// set) with the running sample total. A throw on either side closes the
+/// ring, so the other side winds down: the producer stops reading once the
+/// ring is closed, and the consumer drains what is left. The pump then
+/// joins the producer and rethrows, the consumer's exception first.
+/// Returns the samples consumed.
+std::size_t pump(ChunkSource& src, IqRing& ring, std::size_t chunk_samples,
+                 bool backpressure,
+                 const std::function<void(std::span<const cfloat>)>& consume,
+                 const std::function<void(std::size_t samples_consumed)>&
+                     on_chunk);
+
+/// Runs the two-thread gateway pipeline: `pump` feeding `rx`, which is then
+/// finished. `on_chunk`, when set, is called after each consumed chunk (the
+/// daemon's periodic stats hook). Returns samples decoded; rethrows a read
+/// or decode failure as `pump` does.
 std::size_t run_pipeline(
     ChunkSource& src, IqRing& ring, StreamingReceiver& rx,
     std::size_t chunk_samples, bool backpressure = true,

@@ -13,7 +13,8 @@ contract: --help exits 0 with the usage on stdout (tnb_eval's lists every
   unknown flag (tnb_streamd --taps, --stats-every, --realtime) exits 2
   naming it; the unknown-scheme and unknown-backend messages keep their
   text; a file the tools cannot read or write exits 1 with "<tool>: " on
-  stderr. Each BENCH is only parsed, never run: --help, and a bad or
+  stderr (tnb_streamd --in a directory, single-channel and --channels 4;
+  tnb_streamd and tnb_eval --metrics-file in a missing directory). Each BENCH is only parsed, never run: --help, and a bad or
   missing --jobs value.
 round trip: a tiny gen -> eval -> streamd run still decodes.
 stdin: a trace piped into tnb_streamd decodes at least 3 packets, the same
@@ -170,8 +171,18 @@ def check_contract(t, w):
     with open(bad_csv + ".csv", "w") as f:
         f.write("not,a,ground,truth\n")
     missing = os.path.join(w, "missing")
+    unwritable = os.path.join(missing, "x.prom")
     for tool, args, reason in [
             (t.sd, ["--in", missing + ".bin"], "cannot open"),
+            # A read error on the producer thread reaches the exit code.
+            (t.sd, ["--in", w, "--sf", "7"], "read failed"),
+            (t.sd, ["--in", w, "--sf", "8", "--channels", "4"],
+             "read failed"),
+            (t.sd, ["--in", trace, "--sf", "7", "--metrics-file", unwritable],
+             "cannot write " + unwritable),
+            (t.ev, ["--in", prefix, "--sf", "7", "--scheme", "tnb",
+                    "--metrics-file", unwritable],
+             "cannot write " + unwritable),
             (t.ev, ["--in", missing], "cannot open"),
             (t.ev, ["--in", prefix, "--sf", "7", "--antennas", "2"],
              "cannot open"),

@@ -173,7 +173,8 @@ TEST(FracSync, RefinesFractionalCfo) {
   const double t0 = 4096.0;
   const IqBuffer trace = one_packet_trace(p, t0, cfo_hz, 1.0, 0.1, rng);
   const FracSync fs(p);
-  const FracSyncResult r = fs.refine(trace, t0, 3.0);
+  lora::Workspace ws;
+  const FracSyncResult r = fs.refine(trace, t0, 3.0, ws);
   EXPECT_NEAR(3.0 + r.df, 3.4, 0.1);
   EXPECT_NEAR(r.dt, 0.0, 1.0);
   EXPECT_TRUE(r.gated);
@@ -186,8 +187,9 @@ TEST(FracSync, RefinesFractionalTiming) {
   const IqBuffer trace = one_packet_trace(p, true_t0, 500.0, 1.0, 0.1, rng);
   const double coarse_t0 = 4096.0;
   const FracSync fs(p);
+  lora::Workspace ws;
   const FracSyncResult r =
-      fs.refine(trace, coarse_t0, p.cfo_hz_to_cycles(500.0));
+      fs.refine(trace, coarse_t0, p.cfo_hz_to_cycles(500.0), ws);
   EXPECT_NEAR(coarse_t0 + r.dt, true_t0, 0.5);
 }
 
@@ -197,12 +199,13 @@ TEST(FracSync, QPeaksAtTruth) {
   const double t0 = 4096.0;
   const IqBuffer trace = one_packet_trace(p, t0, 0.0, 1.0, 0.0, rng);
   const FracSync fs(p);
-  const double q_true = fs.q(trace, t0, 0.0, 0.0, 0.0, false);
+  lora::Workspace ws;
+  const double q_true = fs.q(trace, t0, 0.0, 0.0, 0.0, false, ws);
   // Off by half a cycle of CFO: markedly lower.
-  const double q_cfo = fs.q(trace, t0, 0.0, 0.0, 0.5, false);
+  const double q_cfo = fs.q(trace, t0, 0.0, 0.0, 0.5, false, ws);
   EXPECT_GT(q_true, 2.0 * q_cfo);
   // Off by 2 receiver samples of timing: lower.
-  const double q_dt = fs.q(trace, t0, 0.0, 4.0, 0.0, false);
+  const double q_dt = fs.q(trace, t0, 0.0, 4.0, 0.0, false, ws);
   EXPECT_GT(q_true, q_dt);
 }
 
@@ -212,9 +215,10 @@ TEST(FracSync, GateRejectsOffByOneCfo) {
   const double t0 = 4096.0;
   const IqBuffer trace = one_packet_trace(p, t0, 0.0, 1.0, 0.0, rng);
   const FracSync fs(p);
+  lora::Workspace ws;
   // With df = 1 the peak sits at bin 1 (not 0): Q* must gate it to zero.
-  EXPECT_EQ(fs.q(trace, t0, 0.0, 0.0, 1.0, true), 0.0);
-  EXPECT_GT(fs.q(trace, t0, 0.0, 0.0, 0.0, true), 0.0);
+  EXPECT_EQ(fs.q(trace, t0, 0.0, 0.0, 1.0, true, ws), 0.0);
+  EXPECT_GT(fs.q(trace, t0, 0.0, 0.0, 0.0, true, ws), 0.0);
 }
 
 }  // namespace

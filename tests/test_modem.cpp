@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "common/math_util.hpp"
 #include "common/rng.hpp"
@@ -60,6 +62,61 @@ INSTANTIATE_TEST_SUITE_P(
     SfOsfGrid, ModemShifts,
     ::testing::Combine(::testing::Values(7u, 8u, 10u),
                        ::testing::Values(1u, 2u, 8u)));
+
+// synthesize_shifts reads each chirp value from a per-packet table keyed by
+// its exact base-chirp position. It must equal the per-sample reference,
+// amplitude * eval_shifts(t) * CFO rotation, bit for bit: at power-of-two
+// OSF, where the table serves nearly every sample, and at OSF 3 and 5,
+// where positions fall off the table's lattice and miss.
+class SynthesisIdentity
+    : public ::testing::TestWithParam<std::tuple<unsigned, unsigned>> {};
+
+TEST_P(SynthesisIdentity, TableEqualsPerSampleReference) {
+  const auto [sf, osf] = GetParam();
+  Params p{.sf = sf, .cr = 4, .bandwidth_hz = 125e3, .osf = osf};
+  p.ldro = sf >= 11;
+  const Modulator mod(p);
+  Rng rng(16 * sf + osf);
+  std::vector<std::uint32_t> shifts(12);
+  for (auto& h : shifts) h = static_cast<std::uint32_t>(rng.next());
+  // Zero, a round sub-sample delay, and the fractional part of a trace
+  // position, as sim::build_trace derives it.
+  const double start = 987654.0 + rng.uniform();
+  for (const double frac : {0.0, 0.37, start - std::floor(start)}) {
+    WaveformOptions w;
+    w.frac_delay = frac;
+    w.cfo_hz = 1700.0;
+    w.amplitude = 0.8;
+    const IqBuffer got = mod.synthesize_shifts(shifts, w);
+    ASSERT_EQ(got.size(),
+              mod.packet_samples(shifts.size()) + (frac > 0.0 ? 1 : 0));
+    const double cfo = p.cfo_hz_to_cycles(w.cfo_hz);
+    const double n = static_cast<double>(p.n_bins());
+    const float amp = static_cast<float>(w.amplitude);
+    std::size_t mismatches = 0, first = got.size();
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      const double t = (static_cast<double>(i) - frac) / p.osf;
+      const cfloat v = mod.eval_shifts(t, shifts);
+      cfloat want{0.0f, 0.0f};
+      if (v != cfloat{0.0f, 0.0f}) {
+        const double ph = kTwoPi * cfo * t / n;
+        want = amp * v *
+               cfloat{static_cast<float>(std::cos(ph)),
+                      static_cast<float>(std::sin(ph))};
+      }
+      if (std::memcmp(&got[i], &want, sizeof want) != 0) {
+        if (mismatches++ == 0) first = i;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << "frac_delay " << frac << ", first at sample "
+                              << first;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SfOsfGrid, SynthesisIdentity,
+    ::testing::Combine(::testing::Values(7u, 8u, 9u, 10u, 11u, 12u),
+                       ::testing::Values(1u, 2u, 3u, 4u, 5u, 8u)));
 
 TEST(Modem, PeakHeightDropsWithTimingError) {
   // Paper Fig. 1(b): a misaligned window lowers the peak.

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -176,6 +177,65 @@ TEST(Streaming, BoundedMemoryUnderContinuousTraffic) {
   EXPECT_LT(st.high_water_samples, 2 * window_samples);
   EXPECT_EQ(st.samples_retired, trace.iq.size());
   EXPECT_GE(st.segments, trace.iq.size() / (2 * window_samples));
+}
+
+/// Yields `chunks` chunks of 64 zero samples, then throws; with
+/// `chunks` < 0 it never ends.
+class ThrowingSource final : public ChunkSource {
+ public:
+  explicit ThrowingSource(int chunks) : left_(chunks) {}
+  std::size_t next(IqBuffer& out, std::size_t /*max_samples*/) override {
+    if (left_ == 0) throw std::runtime_error("source failed");
+    if (left_ > 0) --left_;
+    out.assign(64, cfloat{0.0f, 0.0f});
+    return out.size();
+  }
+
+ private:
+  int left_;
+};
+
+TEST(Pump, ForwardsTheProducersExceptionAfterDraining) {
+  ThrowingSource src(3);
+  IqRing ring(1 << 12);
+  std::size_t consumed = 0;
+  try {
+    pump(src, ring, 64, /*backpressure=*/true,
+         [&](std::span<const cfloat> c) { consumed += c.size(); }, {});
+    FAIL() << "pump returned";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "source failed");
+  }
+  EXPECT_EQ(consumed, 3u * 64u);
+}
+
+TEST(Pump, ConsumerExceptionStopsTheProducerAndComesFirst) {
+  // An endless source: the producer must stop once the consumer's throw
+  // closes the ring, or the pump never joins.
+  for (const bool backpressure : {true, false}) {
+    ThrowingSource src(-1);
+    IqRing ring(256);
+    int calls = 0;
+    try {
+      pump(src, ring, 64, backpressure,
+           [&](std::span<const cfloat>) {
+             if (++calls == 2) throw std::logic_error("consumer failed");
+           },
+           {});
+      FAIL() << "pump returned";
+    } catch (const std::logic_error& e) {
+      EXPECT_STREQ(e.what(), "consumer failed");
+    }
+  }
+  // Both sides fail: the consumer's exception wins.
+  ThrowingSource src(4);
+  IqRing ring(1 << 12);
+  EXPECT_THROW(pump(src, ring, 64, true,
+                    [](std::span<const cfloat>) {
+                      throw std::logic_error("consumer failed");
+                    },
+                    {}),
+               std::logic_error);
 }
 
 }  // namespace

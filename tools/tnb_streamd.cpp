@@ -27,8 +27,8 @@
 //
 // Without --in (or with `--in -`) samples are read from stdin, so a trace
 // can be piped straight through:  tnb_gen ... && tnb_streamd < trace.bin
-// A file named by --in is read the same way; one that cannot be opened
-// exits 1.
+// A file named by --in is read the same way; one that cannot be opened or
+// read (a directory, say) exits 1 with `tnb_streamd: <reason>`.
 //
 // A producer thread feeds the SPSC ring buffer (blocking backpressure by
 // default; --drop switches to the radio-front-end policy of dropping
@@ -40,7 +40,9 @@
 // of the tnb::obs registry (stage timings, ring and stream counters) on
 // every stats tick and at exit; --metrics-history PREFIX additionally
 // keeps every snapshot as PREFIX.NNN.prom (tnb_promcheck verifies counter
-// monotonicity across the sequence).
+// monotonicity across the sequence). A snapshot that cannot be written
+// prints `tnb_streamd: cannot write <path>`; if the final one fails, the
+// run exits 1, as tnb_eval does.
 //
 // SIGINT/SIGTERM trigger a clean shutdown: the ring is closed (remaining
 // producer samples are counted as dropped), the pipeline winds down, and
@@ -255,33 +257,43 @@ int main(int argc, char** argv) {
     std::printf("stats %s\n", w.str().c_str());
     std::fflush(stdout);
   };
+  // Writes the metrics file and the next history snapshot; false when one
+  // of them could not be written (the reason is on stderr).
   std::size_t metrics_seq = 0;
   auto write_metrics = [&] {
-    if (metrics_file.empty() && metrics_history.empty()) return;
+    if (metrics_file.empty() && metrics_history.empty()) return true;
     const std::string text = registry.snapshot().to_prometheus();
-    auto write_file = [](const std::string& path, const std::string& body) {
+    // Writes `body` to `path`; on failure names `shown` on stderr.
+    auto write_file = [](const std::string& path, const std::string& body,
+                         const std::string& shown) {
       std::FILE* f = std::fopen(path.c_str(), "w");
       if (f == nullptr) {
-        std::fprintf(stderr, "tnb_streamd: cannot write %s\n", path.c_str());
+        std::fprintf(stderr, "tnb_streamd: cannot write %s\n", shown.c_str());
         return false;
       }
       std::fwrite(body.data(), 1, body.size(), f);
       std::fclose(f);
       return true;
     };
+    bool ok = true;
     if (!metrics_file.empty()) {
       // Write-then-rename so a concurrent reader never sees a torn file.
       const std::string tmp = metrics_file + ".tmp";
-      if (write_file(tmp, text) &&
-          std::rename(tmp.c_str(), metrics_file.c_str()) != 0) {
-        std::fprintf(stderr, "tnb_streamd: cannot rename %s\n", tmp.c_str());
+      if (!write_file(tmp, text, metrics_file)) {
+        ok = false;
+      } else if (std::rename(tmp.c_str(), metrics_file.c_str()) != 0) {
+        std::fprintf(stderr, "tnb_streamd: cannot write %s\n",
+                     metrics_file.c_str());
+        ok = false;
       }
     }
     if (!metrics_history.empty()) {
       char seq[16];
       std::snprintf(seq, sizeof seq, ".%03zu.prom", metrics_seq++);
-      write_file(metrics_history + seq, text);
+      const std::string path = metrics_history + seq;
+      ok = write_file(path, text, path) && ok;
     }
+    return ok;
   };
 
   // Block SIGINT/SIGTERM in every thread and field them in a dedicated
@@ -348,9 +360,11 @@ int main(int argc, char** argv) {
       decoded = receiver->stats().packets_emitted;
     }
     print_stats();
-    write_metrics();
+    const bool metrics_ok = write_metrics();
     std::printf("decoded=%zu\n", decoded);
     g_done.store(true);
+    // Like tnb_eval: a metrics file that cannot be written fails the run.
+    if (!metrics_ok) return 1;
   }
   return 0;
 }
