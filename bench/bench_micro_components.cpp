@@ -253,7 +253,7 @@ class GreppableReporter : public benchmark::ConsoleReporter {
 /// (independent of the active selection) so one run compares them all.
 void register_backend_benches() {
   for (const dsp::FftBackend* be : dsp::fft_backends()) {
-    for (const std::size_t n : {256u, 8192u, 32768u}) {
+    for (const std::size_t n : {256u, 1024u, 2048u, 8192u, 32768u}) {
       const std::string name =
           "BM_FftBackend_" + std::string(be->name()) + "/" + std::to_string(n);
       benchmark::RegisterBenchmark(

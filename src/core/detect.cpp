@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "common/math_util.hpp"
@@ -69,11 +70,48 @@ Detector::Detector(lora::Params params, DetectorOptions opt)
   }
 }
 
-std::vector<Detector::Candidate> Detector::find_runs(
-    std::span<const cfloat> trace, lora::Workspace& ws) const {
+std::vector<WindowPeaks> Detector::scan(std::span<const cfloat> trace,
+                                        lora::Workspace& ws) const {
+  ws.reserve(p_);
   const std::size_t sps = p_.sps();
-  const double n = static_cast<double>(p_.n_bins());
   const std::size_t n_windows = trace.size() / sps;
+  std::vector<WindowPeaks> out;
+  out.reserve(n_windows);
+
+  dsp::PeakFinderOptions pf;
+  pf.circular = true;
+  pf.max_peaks = opt_.max_peaks_per_window;
+
+  // Windows go in batches of 8: they are contiguous full-symbol slices of
+  // the trace demodulated at CFO 0, so each chunk is one batched
+  // dechirp+FFT invocation (slot 1; slot 0 belongs to resolve_candidate),
+  // which is bit-identical to transforming them one at a time.
+  constexpr std::size_t kScanBatch = 8;
+  auto& spectra = ws.iq_scratch(1);
+  spectra.resize(kScanBatch * sps);
+  SignalVector& sv = ws.sv_scratch(0);
+  for (std::size_t k0 = 0; k0 < n_windows; k0 += kScanBatch) {
+    const std::size_t batch = std::min(kScanBatch, n_windows - k0);
+    demod_.dechirp_fft_batch_into(
+        trace.subspan(k0 * sps, batch * sps), batch, 0.0, /*up=*/true, ws,
+        std::span<cfloat>(spectra.data(), batch * sps));
+    for (std::size_t j = 0; j < batch; ++j) {
+      demod_.fold(std::span<const cfloat>(spectra.data() + j * sps, sps), sv);
+      const double floor = noise_floor(sv);
+      // Selectivity relative to the noise floor: a weak preamble must stay
+      // visible next to a strong collider (>20 dB SNR spread, paper Fig. 10).
+      pf.sel = 4.0 * floor;
+      pf.use_threshold = true;
+      pf.threshold = opt_.peak_floor_ratio * floor;
+      out.push_back(dsp::find_peaks(sv, pf));
+    }
+  }
+  return out;
+}
+
+std::vector<Detector::Candidate> Detector::find_runs(
+    std::span<const WindowPeaks> scan) const {
+  const double n = static_cast<double>(p_.n_bins());
 
   struct Run {
     std::size_t first = 0;
@@ -96,71 +134,42 @@ std::vector<Detector::Candidate> Detector::find_runs(
     candidates.push_back(c);
   };
 
-  dsp::PeakFinderOptions pf;
-  pf.circular = true;
-  pf.max_peaks = opt_.max_peaks_per_window;
-
-  // Scan windows in batches of 8: they are contiguous full-symbol slices
-  // of the trace demodulated at CFO 0, so each chunk is one batched
-  // dechirp+FFT invocation (slot 1; slot 0 belongs to the later
-  // resolve_candidate phase). The run-tracking below is unchanged and
-  // still walks windows strictly in order.
-  constexpr std::size_t kScanBatch = 8;
-  auto& spectra = ws.iq_scratch(1);
-  spectra.resize(kScanBatch * sps);
-  SignalVector& sv = ws.sv_scratch(0);
-  for (std::size_t k0 = 0; k0 < n_windows; k0 += kScanBatch) {
-    const std::size_t batch = std::min(kScanBatch, n_windows - k0);
-    demod_.dechirp_fft_batch_into(
-        trace.subspan(k0 * sps, batch * sps), batch, 0.0, /*up=*/true, ws,
-        std::span<cfloat>(spectra.data(), batch * sps));
-    for (std::size_t j = 0; j < batch; ++j) {
-      const std::size_t k = k0 + j;
-      demod_.fold(std::span<const cfloat>(spectra.data() + j * sps, sps), sv);
-      const double floor = noise_floor(sv);
-      // Selectivity relative to the noise floor: a weak preamble must stay
-      // visible next to a strong collider (>20 dB SNR spread, paper Fig. 10).
-      pf.sel = 4.0 * floor;
-      pf.use_threshold = true;
-      pf.threshold = opt_.peak_floor_ratio * floor;
-      const auto peaks = dsp::find_peaks(sv, pf);
-
-      for (const dsp::Peak& pk : peaks) {
-        const double loc = pk.frac_index;
-        bool matched = false;
-        for (Run& r : active) {
-          // Tolerate a single missed window (a collider can mask one peak).
-          if (r.last + 2 < k) continue;
-          if (r.last == k) continue;  // already extended this window
-          if (cyclic_dist(r.bin, loc, n) <= 1.5) {
-            r.last = k;
-            r.bin = loc;
-            r.power_sum += pk.value;
-            if (pk.value > r.best_power) {
-              r.best_power = pk.value;
-              r.best_frac = loc;
-            }
-            matched = true;
-            break;
-          }
-        }
-        if (!matched) {
-          Run r;
-          r.first = r.last = k;
+  for (std::size_t k = 0; k < scan.size(); ++k) {
+    for (const dsp::Peak& pk : scan[k]) {
+      const double loc = pk.frac_index;
+      bool matched = false;
+      for (Run& r : active) {
+        // Tolerate a single missed window (a collider can mask one peak).
+        if (r.last + 2 < k) continue;
+        if (r.last == k) continue;  // already extended this window
+        if (cyclic_dist(r.bin, loc, n) <= 1.5) {
+          r.last = k;
           r.bin = loc;
-          r.power_sum = pk.value;
-          r.best_frac = loc;
-          r.best_power = pk.value;
-          active.push_back(r);
+          r.power_sum += pk.value;
+          if (pk.value > r.best_power) {
+            r.best_power = pk.value;
+            r.best_frac = loc;
+          }
+          matched = true;
+          break;
         }
       }
-      // Retire runs that have missed two consecutive windows, in order.
-      std::erase_if(active, [&](const Run& r) {
-        if (r.last + 2 > k) return false;
-        finalize(r);
-        return true;
-      });
+      if (!matched) {
+        Run r;
+        r.first = r.last = k;
+        r.bin = loc;
+        r.power_sum = pk.value;
+        r.best_frac = loc;
+        r.best_power = pk.value;
+        active.push_back(r);
+      }
     }
+    // Retire runs that have missed two consecutive windows, in order.
+    std::erase_if(active, [&](const Run& r) {
+      if (r.last + 2 > k) return false;
+      finalize(r);
+      return true;
+    });
   }
   for (const Run& r : active) finalize(r);
   return candidates;
@@ -310,10 +319,20 @@ void Detector::resolve_candidate(std::span<const cfloat> trace,
 
 std::vector<DetectedPacket> Detector::detect(std::span<const cfloat> trace,
                                              lora::Workspace& ws) const {
+  return detect(trace, scan(trace, ws), ws);
+}
+
+std::vector<DetectedPacket> Detector::detect(std::span<const cfloat> trace,
+                                             std::span<const WindowPeaks> scan,
+                                             lora::Workspace& ws) const {
+  if (scan.size() != trace.size() / p_.sps()) {
+    throw std::invalid_argument(
+        "Detector::detect: scan must hold one entry per full symbol window");
+  }
   ws.reserve(p_);
   std::vector<DetectedPacket> out;
   PassMemo memo;
-  for (const Candidate& cand : find_runs(trace, ws)) {
+  for (const Candidate& cand : find_runs(scan)) {
     resolve_candidate(trace, cand, ws, memo, out);
   }
   std::sort(out.begin(), out.end(),

@@ -2,7 +2,13 @@
 //
 // Step 1 finds preambles by looking for peaks at the same bin in several
 // consecutive symbol-length windows (the 8 preamble upchirps all produce
-// the same misalignment peak). Step 3 combines the upchirp peak location x1
+// the same misalignment peak). It has two halves: scan() demodulates every
+// full symbol window at CFO 0 and keeps its peaks, and run tracking walks
+// those peaks in window order. A window's peaks depend on its samples
+// alone, so a scan can be built piecewise and shared: the streaming
+// receiver scans each window of its stream once, on the global symbol
+// grid, and hands slices of that scan to its liveness tracker and to each
+// segment's decode. Step 3 combines the upchirp peak location x1
 // with the downchirp peak location x2 into a coarse timing / CFO estimate
 // (timing ~ (x1-x2)/2, CFO ~ (x1+x2)/2, after resolving the half-period
 // ambiguity with the CFO bound). Step 2's sanity test slides the start by
@@ -17,6 +23,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "dsp/peak_finder.hpp"
 #include "lora/demodulator.hpp"
 #include "lora/params.hpp"
 
@@ -29,6 +36,10 @@ struct DetectedPacket {
   double strength = 0.0;    ///< mean preamble peak power (detection score)
   int validation_score = 0; ///< how many of the 12 step-2 checks passed
 };
+
+/// Step 1's result for one symbol window: the peaks of its CFO-0 signal
+/// vector above the detector's noise-floor threshold.
+using WindowPeaks = std::vector<dsp::Peak>;
 
 struct DetectorOptions {
   /// A signal-vector peak qualifies as a preamble candidate only if it is
@@ -49,13 +60,31 @@ class Detector {
  public:
   Detector(lora::Params params, DetectorOptions opt = {});
 
-  /// Detects all preambles in `trace`. Results are coarse (integer-sample
-  /// timing, integer-bin CFO with interpolation refinement); feed them to
-  /// FracSync for the paper's step-4 refinement. Sorted by t0. `ws`
-  /// supplies all demodulation scratch (general slots 0 and 1 and SV slot
-  /// 0 are clobbered). Each step-2 check window and each downchirp window
-  /// is demodulated once per call (DESIGN.md "Hot-path kernels"); nothing
-  /// is kept between calls.
+  /// Step 1's scan: the peaks of each full symbol window of `trace`, entry
+  /// k for samples [k sps, (k + 1) sps), demodulated at CFO 0 in batches
+  /// of 8. Reads only peak_floor_ratio and max_peaks_per_window. The scans
+  /// of pieces of a trace split at multiples of sps join to the scan of
+  /// the whole, bit for bit (tests/test_detect_golden.cpp). `ws`: general
+  /// slot 1 and SV slot 0 are clobbered.
+  std::vector<WindowPeaks> scan(std::span<const cfloat> trace,
+                                lora::Workspace& ws) const;
+
+  /// Detects all preambles in `trace`, given its scan: one entry per full
+  /// symbol window (std::invalid_argument otherwise), as scan() of a
+  /// detector with the same peak_floor_ratio and max_peaks_per_window
+  /// returns it. Results are coarse (integer-sample timing, integer-bin
+  /// CFO with interpolation refinement); feed them to FracSync for the
+  /// paper's step-4 refinement. Sorted by t0. `ws` supplies all
+  /// demodulation scratch (general slot 0 and SV slot 0 are clobbered).
+  /// Each step-2 check window and each downchirp window is demodulated
+  /// once per call (DESIGN.md "Hot-path kernels"); nothing is kept
+  /// between calls.
+  std::vector<DetectedPacket> detect(std::span<const cfloat> trace,
+                                     std::span<const WindowPeaks> scan,
+                                     lora::Workspace& ws) const;
+
+  /// scan() of `trace`, then detect() over it (general slots 0 and 1 and
+  /// SV slot 0 are clobbered).
   std::vector<DetectedPacket> detect(std::span<const cfloat> trace,
                                      lora::Workspace& ws) const;
 
@@ -70,8 +99,8 @@ class Detector {
   /// Demodulation results shared within one detect() call (detect.cpp).
   struct PassMemo;
 
-  std::vector<Candidate> find_runs(std::span<const cfloat> trace,
-                                   lora::Workspace& ws) const;
+  /// Step 1's run tracking: runs of windows with a peak at one bin.
+  std::vector<Candidate> find_runs(std::span<const WindowPeaks> scan) const;
 
   /// Steps 2+3 for one candidate; returns validated packets (possibly none).
   void resolve_candidate(std::span<const cfloat> trace, const Candidate& cand,

@@ -77,6 +77,12 @@ struct PreamblePeaks {
   bool at_zero = false;    ///< both peaks at bin 0 (the Q* gate)
 };
 
+/// One objective evaluation: the ungated value plus the Q* gate verdict.
+struct QEval {
+  double value = 0.0;
+  bool gate_pass = false;
+};
+
 /// Coherent sums of the 10 preamble windows under the symbol-phase
 /// rotation of the full CFO correction `cfo`, folded, and their peaks.
 /// `bins_of(w)` gives window w's folded bins; the pointers need only stay
@@ -139,10 +145,11 @@ void FracSync::transform_preamble(std::span<const cfloat> trace, double start,
                                 down_rows);
 }
 
-FracSync::QEval FracSync::exact_eval(std::span<const cfloat> trace,
-                                     double start, double cfo,
-                                     lora::Workspace& ws) const {
+double FracSync::q(std::span<const cfloat> trace, double t0, double cfo_cycles,
+                   double dt, double df, bool gate, lora::Workspace& ws) const {
   ws.reserve(p_);
+  const double start = t0 + dt;
+  const double cfo = cfo_cycles + df;
   transform_preamble(trace, start, cfo, ws);
   const std::size_t sps = p_.sps();
   const std::size_t n = p_.n_bins();
@@ -154,18 +161,9 @@ FracSync::QEval FracSync::exact_eval(std::span<const cfloat> trace,
         return FoldedBins{x, x + (sps - n)};
       },
       cfo, ws);
-  QEval e;
-  e.value = (static_cast<double>(pk.up) + static_cast<double>(pk.down)) /
-            interp_gain(start, p_.osf);
-  e.gate_pass = pk.at_zero;
-  return e;
-}
-
-double FracSync::q(std::span<const cfloat> trace, double t0, double cfo_cycles,
-                   double dt, double df, bool gate, lora::Workspace& ws) const {
-  const QEval e = exact_eval(trace, t0 + dt, cfo_cycles + df, ws);
-  if (gate && !e.gate_pass) return 0.0;
-  return e.value;
+  if (gate && !pk.at_zero) return 0.0;
+  return (static_cast<double>(pk.up) + static_cast<double>(pk.down)) /
+         interp_gain(start, p_.osf);
 }
 
 FracSyncResult FracSync::refine(std::span<const cfloat> trace, double t0,
@@ -318,8 +316,6 @@ FracSyncResult FracSync::refine(std::span<const cfloat> trace, double t0,
   FracSyncResult r;
   r.dt = dt_fin;
   r.df = df_star + static_cast<double>(line_hat);
-  const QEval exact = exact_eval(trace, t0 + r.dt, cfo_cycles + r.df, ws);
-  r.q = exact.gate_pass ? exact.value : 0.0;
   r.gated = true;
   return r;
 }

@@ -17,12 +17,12 @@
 // refine() therefore dechirps and transforms the 10 preamble windows once
 // per integer start the search needs (at most five), at the df* line,
 // keeping only the bins fold() reads. The df* + 1 line is one more whole
-// cycle of CFO correction: the same spectra read one bin up. The chosen
-// point gets one exact time-domain evaluation, so FracSyncResult::q is the
-// exact objective q() returns there. When the Q* gate never passes, refine
-// keeps the coarse estimate (dt = df = 0, gated = false). The test oracle
-// testing::reference_refine runs the same search over q() at every point;
-// refine must take each of its gated decisions bit for bit
+// cycle of CFO correction: the same spectra read one bin up. Callers use
+// only the chosen point, so refine() does not evaluate the objective there
+// again; q() at (dt, df) gives its exact value. When the Q* gate never
+// passes, refine keeps the coarse estimate (dt = df = 0, gated = false).
+// The test oracle testing::reference_refine runs the same search over q()
+// at every point; refine must take each of its gated decisions bit for bit
 // (tests/test_frac_sync_reference.cpp).
 #pragma once
 
@@ -37,7 +37,6 @@ namespace tnb::rx {
 struct FracSyncResult {
   double dt = 0.0;      ///< timing refinement, receiver samples
   double df = 0.0;      ///< CFO refinement, cycles per symbol
-  double q = 0.0;       ///< exact gated objective at (dt, df); 0 if ungated
   bool gated = true;    ///< false if the Q* gate never passed (dt = df = 0)
 };
 
@@ -60,22 +59,11 @@ class FracSync {
            double dt, double df, bool gate, lora::Workspace& ws) const;
 
  private:
-  /// One objective evaluation: the ungated value plus the Q* gate verdict.
-  struct QEval {
-    double value = 0.0;
-    bool gate_pass = false;
-  };
-
   /// Extracts the 10 preamble windows (8 up, 2 down) starting at `start`
   /// into workspace slot 0 and dechirps + transforms them there in place
   /// at the CFO correction `cfo`.
   void transform_preamble(std::span<const cfloat> trace, double start,
                           double cfo, lora::Workspace& ws) const;
-
-  /// The exact objective at window start `start` and full CFO correction
-  /// `cfo` (= coarse + df), from a fresh transform of the preamble.
-  QEval exact_eval(std::span<const cfloat> trace, double start, double cfo,
-                   lora::Workspace& ws) const;
 
   lora::Params p_;
   lora::Demodulator demod_;

@@ -117,7 +117,8 @@ std::vector<sim::DecodedPacket> Receiver::decode(
 }
 
 std::vector<DetectedPacket> Receiver::detect(
-    std::vector<std::span<const cfloat>> antennas) const {
+    std::vector<std::span<const cfloat>> antennas,
+    std::span<const WindowPeaks> scan) const {
   std::vector<DetectedPacket> detections;
   if (antennas.empty() || antennas[0].empty()) return detections;
   if (sync_factory_) {
@@ -143,7 +144,9 @@ std::vector<DetectedPacket> Receiver::detect(
       std::vector<DetectedPacket> found;
       {
         const obs::ScopedSpan span(obs_.stages.detect);
-        found = detector.detect(ant, ws);
+        found = &ant == &antennas[0] && !scan.empty()
+                    ? detector.detect(ant, scan, ws)
+                    : detector.detect(ant, ws);
       }
       if (opt_.use_frac_sync) {
         const obs::ScopedSpan span(obs_.stages.frac_sync);

@@ -128,9 +128,15 @@ class Receiver {
   /// Runs detection + fractional sync only. The result can be fed to
   /// decode_with_detections — e.g. to decode the same trace with several
   /// schemes without re-detecting (all schemes share TnB's detector, as in
-  /// the paper's methodology).
+  /// the paper's methodology). `scan`, when not empty, is antenna 0's
+  /// step-1 scan (Detector::scan with options().detector), which the
+  /// built-in front end then reads instead of scanning antenna 0 again; a
+  /// trace shorter than one symbol has an empty scan either way. The
+  /// streaming receiver passes the slice of its stream-wide scan that
+  /// covers a segment.
   std::vector<DetectedPacket> detect(
-      std::vector<std::span<const cfloat>> antennas) const;
+      std::vector<std::span<const cfloat>> antennas,
+      std::span<const WindowPeaks> scan = {}) const;
 
   /// Decodes with externally supplied (already refined) detections.
   std::vector<sim::DecodedPacket> decode_with_detections(

@@ -27,6 +27,7 @@ FftPlan::FftPlan(std::size_t n) : n_(n) {
       x >>= 1;
     }
     bitrev_[i] = r;
+    if (i < r) bitrev_swaps_.push_back({static_cast<std::uint32_t>(i), r});
   }
 
   // Every twiddle is e^{-j 2 pi k / N} for some k in [0, N/2), rounded

@@ -5,10 +5,11 @@
 // Cooley-Tukey radix-2 transform with precomputed twiddles is sufficient and
 // keeps the library dependency-free.
 //
-// A plan owns the size-dependent tables (bit-reverse permutation and the
-// per-stage twiddles, interleaved and split into re/im); the arithmetic is
-// executed by the process-global dsp::FftBackend (fft_backend.hpp), so one
-// runtime dispatch decision serves the scalar, AVX2 and AVX-512 kernels.
+// A plan owns the size-dependent tables (bit-reverse permutation, also as
+// its list of swaps, and the per-stage twiddles, interleaved and split into
+// re/im); the arithmetic is executed by the process-global dsp::FftBackend
+// (fft_backend.hpp), so one runtime dispatch decision serves the scalar,
+// AVX2 and AVX-512 kernels.
 #pragma once
 
 #include <cstddef>
@@ -57,6 +58,16 @@ class FftPlan {
   /// Bit-reverse permutation, length size().
   std::span<const std::uint32_t> bitrev() const { return bitrev_; }
 
+  /// One transposition of the bit-reverse permutation.
+  struct Swap {
+    std::uint32_t i;
+    std::uint32_t j;
+  };
+  /// The bit-reverse permutation as its transpositions: every (i, j) with
+  /// i < j = bitrev()[i], in increasing i. Swapping each pair in place
+  /// permutes a buffer without a branch per index.
+  std::span<const Swap> bitrev_swaps() const { return bitrev_swaps_; }
+
   /// Per-stage packed twiddles, length N: the stage with butterfly
   /// half-width h (h = 1, 2, 4, ..., N/2) owns the h contiguous entries
   /// [h, 2h), entry k being e^{-+j 2 pi k / 2h}; entry 0 is unused. Unit
@@ -80,6 +91,7 @@ class FftPlan {
   std::size_t n_;
   unsigned log2n_;
   std::vector<std::uint32_t> bitrev_;
+  std::vector<Swap> bitrev_swaps_;
   std::vector<cfloat> stage_tw_fwd_;  // packed per stage, N entries
   std::vector<cfloat> stage_tw_inv_;
   std::vector<float> stage_tw_re_;  // split copies of the above

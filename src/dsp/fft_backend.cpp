@@ -135,12 +135,7 @@ inline void for_each_lane(std::size_t m, F&& f) {
 }  // namespace
 
 void FftBackend::bit_reverse(const FftPlan& plan, cfloat* a) {
-  const std::span<const std::uint32_t> rev = plan.bitrev();
-  const std::size_t n = plan.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t j = rev[i];
-    if (i < j) std::swap(a[i], a[j]);
-  }
+  for (const FftPlan::Swap& s : plan.bitrev_swaps()) std::swap(a[s.i], a[s.j]);
 }
 
 void FftBackend::scale_inverse(std::size_t n, cfloat* a) {

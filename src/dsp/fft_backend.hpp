@@ -77,8 +77,9 @@ class FftBackend {
 
  protected:
   /// Shared scalar pieces for implementations: the bit-reverse
-  /// permutation and the inverse 1/N scaling (elementwise, so SIMD
-  /// variants of the scaling stay bit-identical anyway).
+  /// permutation, swapped from the plan's pair list, and the inverse 1/N
+  /// scaling (elementwise, so SIMD variants of the scaling stay
+  /// bit-identical anyway).
   static void bit_reverse(const FftPlan& plan, cfloat* data);
   static void scale_inverse(std::size_t n, cfloat* data);
 };

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <exception>
+#include <iterator>
 #include <stdexcept>
 #include <thread>
 
@@ -17,6 +18,7 @@ namespace {
 /// would accept is strictly contained in what this one reports, so a cut
 /// declared quiet by the liveness scan is quiet for the segment decode too.
 /// Extra (false) detections only delay cuts; they never break equivalence.
+/// Step 1 never reads the gate, so the two detectors share one scan.
 rx::DetectorOptions liveness_options(rx::DetectorOptions opt) {
   opt.min_validation_score = std::max(4, opt.min_validation_score - 2);
   return opt;
@@ -163,6 +165,17 @@ std::size_t StreamingReceiver::consume(ChunkSource& src,
   return total;
 }
 
+void StreamingReceiver::extend_scan() {
+  const std::size_t sps = p_.sps();
+  const std::size_t from = scan_.size() * sps;
+  const std::size_t to = align_down(buf_.size());
+  if (to <= from) return;
+  std::vector<rx::WindowPeaks> fresh = live_detector_.scan(
+      std::span<const cfloat>(buf_.data() + from, to - from), ws_);
+  scan_.insert(scan_.end(), std::make_move_iterator(fresh.begin()),
+               std::make_move_iterator(fresh.end()));
+}
+
 void StreamingReceiver::scan_new_detections() {
   const std::size_t sps = p_.sps();
   const std::size_t end_g = base_ + buf_.size();
@@ -170,16 +183,21 @@ void StreamingReceiver::scan_new_detections() {
   const std::size_t new_frontier = align_down(end_g - tail_guard_samples_);
   if (new_frontier <= det_frontier_) return;
 
-  // Rescan a short overlap behind the old frontier: a preamble with t0 just
-  // past it needs up to two symbols of leading context (the detector's
-  // step-2 shifts), and its run's first window can sit 2 T before t0.
+  // Re-detect a short overlap behind the old frontier: a preamble with t0
+  // just past it needs up to two symbols of leading context (the detector's
+  // step-2 shifts), and its run's first window can sit 2 T before t0. The
+  // overlap's windows are not scanned again: the region starts on the
+  // grid, so its scan is a slice of the stream's.
   std::size_t scan_start = base_;
   if (det_frontier_ > lookback_samples_) {
     scan_start = std::max(scan_start, align_down(det_frontier_ - lookback_samples_));
   }
+  extend_scan();
+  const std::size_t first = (scan_start - base_) / sps;
   const std::span<const cfloat> region(buf_.data() + (scan_start - base_),
                                        buf_.size() - (scan_start - base_));
-  const std::vector<rx::DetectedPacket> dets = live_detector_.detect(region, ws_);
+  const std::vector<rx::DetectedPacket> dets = live_detector_.detect(
+      region, std::span(scan_).subspan(first), ws_);
   const double t_tol = 1.25 * static_cast<double>(sps);
   for (const rx::DetectedPacket& det : dets) {
     const double t0g = static_cast<double>(scan_start) + det.t0;
@@ -330,12 +348,17 @@ void StreamingReceiver::maybe_flush(bool eof) {
 
 void StreamingReceiver::decode_segment(std::size_t cut) {
   const std::span<const cfloat> segment(buf_.data(), cut);
+  extend_scan();
+  const std::size_t windows = cut / p_.sps();
   Rng rng(sopt_.rng_seed);
   rx::ReceiverStats seg_stats;
   std::vector<sim::DecodedPacket> decoded;
   {
+    // Receiver::decode, with the segment's slice of the stream's scan.
     const obs::ScopedSpan span(obs_.segment_decode);
-    decoded = rx_.decode(segment, rng, &seg_stats);
+    decoded = rx_.decode_with_detections(
+        {segment}, rx_.detect({segment}, std::span(scan_).first(windows)),
+        rng, &seg_stats);
   }
   st_.rx += seg_stats;
   ++st_.segments;
@@ -350,6 +373,8 @@ void StreamingReceiver::decode_segment(std::size_t cut) {
   }
 
   buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(cut));
+  scan_.erase(scan_.begin(),
+              scan_.begin() + static_cast<std::ptrdiff_t>(windows));
   base_ += cut;
   st_.samples_retired += cut;
   obs_.samples_retired.inc(cut);

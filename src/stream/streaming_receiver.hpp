@@ -4,12 +4,16 @@
 // Chunks of arbitrary size are assembled into a sliding window that always
 // starts on a symbol boundary of the global sample grid. An incremental
 // detection pass (the receiver's own Detector, run with a slightly more
-// permissive validation gate) tracks live packets across chunk boundaries;
-// whenever the window holds at least `window_symbols` of samples, the
-// stream is cut at the latest symbol-aligned point that no live packet's
-// span crosses, and the finished segment is decoded with the full offline
-// Receiver (detection, Thrive, BEC, two-pass). Decoded packets are emitted
-// with trace-global sample positions and their samples retire immediately.
+// permissive validation gate) tracks live packets across chunk boundaries.
+// Detection's step-1 scan (Detector::scan) runs once per symbol window of
+// the stream, on that grid: the liveness pass and every segment's
+// detection read slices of the one scan, and its entries retire with their
+// samples. Whenever the window holds at least `window_symbols` of samples,
+// the stream is cut at the latest symbol-aligned point that no live
+// packet's span crosses, and the finished segment is decoded with the full
+// offline Receiver (detection, Thrive, BEC, two-pass). Decoded packets are
+// emitted with trace-global sample positions and their samples retire
+// immediately.
 //
 // Because cuts land only on quiet, symbol-aligned points, segment decoding
 // is exactly equivalent to one-shot decoding of the whole trace: detection
@@ -141,6 +145,8 @@ class StreamingReceiver {
 
   void ingest(std::span<const cfloat> slice);
   void maybe_flush(bool eof);
+  /// Scans the complete windows of buf_ that scan_ does not cover yet.
+  void extend_scan();
   /// Extends live-packet tracking over newly arrived samples.
   void scan_new_detections();
   /// Shrinks conservative spans to the real packet length by argmax-
@@ -161,6 +167,10 @@ class StreamingReceiver {
 
   IqBuffer buf_;                ///< assembly window
   std::size_t base_ = 0;        ///< global offset of buf_[0]; multiple of sps
+  /// Step-1 scan of buf_'s full symbol windows from buf_[0] on (the scan
+  /// front may trail buf_'s last complete window until extend_scan()).
+  /// Entries retire with their samples.
+  std::vector<rx::WindowPeaks> scan_;
   std::size_t det_frontier_ = 0;   ///< global: detections final below this
   std::size_t min_next_attempt_ = 0;  ///< buffered-size throttle on rescans
   std::vector<LivePacket> live_;

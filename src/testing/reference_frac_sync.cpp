@@ -10,9 +10,9 @@
 
 namespace tnb::testing {
 
-rx::FracSyncResult reference_refine(const lora::Params& p,
-                                    std::span<const cfloat> trace, double t0,
-                                    double cfo_cycles) {
+ReferenceRefine reference_refine(const lora::Params& p,
+                                 std::span<const cfloat> trace, double t0,
+                                 double cfo_cycles) {
   const std::size_t sps = p.sps();
   const lora::Demodulator demod(p);
   const rx::FracSync fsync(p);
@@ -110,7 +110,7 @@ rx::FracSyncResult reference_refine(const lora::Params& p,
     }
   }
 
-  rx::FracSyncResult r;
+  ReferenceRefine r;
   r.dt = dt_fin;
   r.df = df_hat;
   r.q = best_q3;

@@ -18,9 +18,17 @@
 
 namespace tnb::testing {
 
+/// The search's decision and the objective it reached there.
+struct ReferenceRefine {
+  double dt = 0.0;     ///< chosen timing refinement, receiver samples
+  double df = 0.0;     ///< chosen CFO refinement, cycles per symbol
+  double q = 0.0;      ///< best phase-3 objective (gated when `gated`)
+  bool gated = true;   ///< false if the Q* gate never passed
+};
+
 /// The three-phase search of FracSync::refine over the exact objective.
-rx::FracSyncResult reference_refine(const lora::Params& p,
-                                    std::span<const cfloat> trace, double t0,
-                                    double cfo_cycles);
+ReferenceRefine reference_refine(const lora::Params& p,
+                                 std::span<const cfloat> trace, double t0,
+                                 double cfo_cycles);
 
 }  // namespace tnb::testing

@@ -216,7 +216,7 @@ TEST(FracSyncCache, RefineMatchesUncachedReferenceOnCollidedPreambles) {
     // Slightly wrong coarse estimates, as detection would hand over.
     const double t0 = std::floor(t0s[k]);
     const double cfo = std::floor(cfos[k] + 0.5);
-    const rx::FracSyncResult ref =
+    const tnb::testing::ReferenceRefine ref =
         tnb::testing::reference_refine(p, trace, t0, cfo);
     lora::Workspace ws(p);
     const rx::FracSyncResult got = fsync.refine(trace, t0, cfo, ws);
@@ -224,20 +224,21 @@ TEST(FracSyncCache, RefineMatchesUncachedReferenceOnCollidedPreambles) {
     if (ref.gated) {
       EXPECT_EQ(ref.dt, got.dt) << "packet " << k;
       EXPECT_EQ(ref.df, got.df) << "packet " << k;
-      EXPECT_EQ(ref.q, got.q) << "packet " << k;
+      EXPECT_EQ(ref.q, fsync.q(trace, t0, cfo, got.dt, got.df,
+                               /*gate=*/true, ws))
+          << "packet " << k;
     } else {
       // No Q* gate passed: the coarse estimate stands.
       EXPECT_EQ(got.dt, 0.0) << "packet " << k;
       EXPECT_EQ(got.df, 0.0) << "packet " << k;
-      EXPECT_EQ(got.q, 0.0) << "packet " << k;
     }
   }
 }
 
 TEST(FracSyncCache, QMatchesRefineObjectiveAtChosenPoint) {
-  // refine()'s reported q must be the exact public objective at (dt, df),
-  // although the search itself blends integer-start spectra. Packet 1 is
-  // the gated one (packet 0, the weaker, passes no Q* gate).
+  // The search blends integer-start spectra, yet the point it chooses must
+  // pass the exact public objective's Q* gate there. Packet 1 is the gated
+  // one (packet 0, the weaker, passes no Q* gate).
   const lora::Params p = make_params(8, 2);
   const rx::FracSync fsync(p);
   std::vector<double> t0s, cfos;
@@ -247,8 +248,7 @@ TEST(FracSyncCache, QMatchesRefineObjectiveAtChosenPoint) {
   lora::Workspace ws(p);
   const rx::FracSyncResult r = fsync.refine(trace, t0, cfo, ws);
   ASSERT_TRUE(r.gated);
-  const double direct = fsync.q(trace, t0, cfo, r.dt, r.df, r.gated, ws);
-  EXPECT_EQ(direct, r.q);
+  EXPECT_GT(fsync.q(trace, t0, cfo, r.dt, r.df, /*gate=*/true, ws), 0.0);
 }
 
 }  // namespace

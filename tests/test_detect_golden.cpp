@@ -13,9 +13,16 @@
 //
 // The second test checks that detection depends on nothing but the trace
 // and options: one workspace reused across every trace and gate returns
-// exactly what a fresh workspace returns, on every registered backend.
+// exactly what a fresh workspace returns, on every registered backend. The
+// third checks the property the streaming receiver's shared scan rests on:
+// a trace's scan is the join of the scans of its pieces, split anywhere on
+// the symbol grid, and detecting over a joined scan detects what scanning
+// the whole trace does.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -38,6 +45,7 @@ struct TraceCase {
   double load_pps;
   double duration_s;
   std::uint64_t seed;
+  unsigned osf = 8;
 };
 
 // Indoor traces at OSF 8; sf8_collided is the 50 pkt/s collision case.
@@ -49,7 +57,7 @@ constexpr TraceCase kCases[] = {
 };
 
 lora::Params params_for(const TraceCase& c) {
-  return lora::Params{.sf = c.sf, .cr = 4, .bandwidth_hz = 125e3, .osf = 8};
+  return lora::Params{.sf = c.sf, .cr = 4, .bandwidth_hz = 125e3, .osf = c.osf};
 }
 
 sim::Trace build(const TraceCase& c) {
@@ -242,6 +250,66 @@ TEST(DetectGolden, ReusedWorkspaceMatchesFreshOnEveryBackend) {
         EXPECT_EQ(got, want) << be->name() << ", " << kCases[i].name
                              << " at gate " << gate;
         EXPECT_FALSE(want.empty()) << kCases[i].name;
+      }
+    }
+  }
+}
+
+/// Whether two scans hold the same peaks, bit for bit.
+bool same_bits(const std::vector<WindowPeaks>& a,
+               const std::vector<WindowPeaks>& b) {
+  const auto same_peak = [](const dsp::Peak& x, const dsp::Peak& y) {
+    return x.index == y.index &&
+           std::bit_cast<std::uint32_t>(x.value) ==
+               std::bit_cast<std::uint32_t>(y.value) &&
+           std::bit_cast<std::uint64_t>(x.frac_index) ==
+               std::bit_cast<std::uint64_t>(y.frac_index);
+  };
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [&](const WindowPeaks& x, const WindowPeaks& y) {
+                      return std::equal(x.begin(), x.end(), y.begin(),
+                                        y.end(), same_peak);
+                    });
+}
+
+TEST(DetectGolden, ScanOfSplitTraceJoinsOnEveryBackend) {
+  const BackendGuard guard;
+  for (const dsp::FftBackend* be : dsp::fft_backends()) {
+    ASSERT_TRUE(dsp::set_fft_backend(be->name()));
+    for (const TraceCase& base : kCases) {
+      for (const unsigned osf : {1u, 8u}) {
+        TraceCase c = base;
+        c.osf = osf;
+        const lora::Params p = params_for(c);
+        const sim::Trace t = build(c);
+        const std::span<const cfloat> iq = t.iq;
+        const std::size_t sps = p.sps();
+        const Detector det(p);
+        lora::Workspace ws;
+        const std::vector<WindowPeaks> whole = det.scan(iq, ws);
+        ASSERT_EQ(whole.size(), iq.size() / sps);
+        const std::vector<std::string> want = lines(det.detect(iq, ws));
+        EXPECT_FALSE(want.empty()) << c.name << " at OSF " << osf;
+        Rng rng(c.seed + osf);
+        for (int round = 0; round < 3; ++round) {
+          // Pieces of 1 to 40 symbols; the last one keeps the ragged tail.
+          std::vector<WindowPeaks> joined;
+          std::size_t at = 0;
+          while (at < iq.size()) {
+            const std::size_t len = std::min(
+                (1 + rng.uniform_index(40)) * sps, iq.size() - at);
+            for (WindowPeaks& w : det.scan(iq.subspan(at, len), ws)) {
+              joined.push_back(std::move(w));
+            }
+            at += len;
+          }
+          EXPECT_TRUE(same_bits(joined, whole))
+              << be->name() << ", " << c.name << " at OSF " << osf
+              << ", round " << round;
+          EXPECT_EQ(lines(det.detect(iq, joined, ws)), want)
+              << be->name() << ", " << c.name << " at OSF " << osf
+              << ", round " << round;
+        }
       }
     }
   }

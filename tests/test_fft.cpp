@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
+#include <utility>
 #include <vector>
 
 #include "common/math_util.hpp"
@@ -129,6 +133,21 @@ TEST(Fft, PlanCacheReturnsSameInstance) {
   const FftPlan& b = fft_plan(128);
   EXPECT_EQ(&a, &b);
   EXPECT_EQ(a.size(), 128u);
+}
+
+TEST(Fft, BitrevSwapsApplyTheBitReversePermutation) {
+  for (std::size_t n = 2; n <= (std::size_t{1} << 15); n *= 2) {
+    const FftPlan plan(n);
+    std::vector<std::uint32_t> v(n);
+    std::iota(v.begin(), v.end(), 0u);
+    for (const FftPlan::Swap& s : plan.bitrev_swaps()) {
+      ASSERT_LT(s.i, s.j) << "n=" << n;
+      std::swap(v[s.i], v[s.j]);
+    }
+    const std::span<const std::uint32_t> rev = plan.bitrev();
+    EXPECT_TRUE(std::equal(v.begin(), v.end(), rev.begin(), rev.end()))
+        << "n=" << n;
+  }
 }
 
 TEST(Fft, SizeOneIsIdentity) {

@@ -6,12 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstdio>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/receiver.hpp"
+#include "dsp/fft_backend.hpp"
 #include "sim/trace_builder.hpp"
 
 namespace tnb::stream {
@@ -177,6 +181,70 @@ TEST(Streaming, BoundedMemoryUnderContinuousTraffic) {
   EXPECT_LT(st.high_water_samples, 2 * window_samples);
   EXPECT_EQ(st.samples_retired, trace.iq.size());
   EXPECT_GE(st.segments, trace.iq.size() / (2 * window_samples));
+}
+
+void fnv1a(std::uint64_t& h, std::uint64_t v) {
+  for (int i = 0; i < 64; i += 8) {
+    h ^= (v >> i) & 0xff;
+    h *= 0x100000001b3ull;
+  }
+}
+
+/// "count digest" of packets in emission order: the bit pattern of each
+/// start sample, then its payload (length, then bytes).
+std::string summarize(const std::vector<sim::DecodedPacket>& pkts) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const sim::DecodedPacket& pkt : pkts) {
+    fnv1a(h, std::bit_cast<std::uint64_t>(pkt.start_sample));
+    fnv1a(h, std::uint64_t{pkt.payload.size()});
+    for (std::uint8_t b : pkt.payload) fnv1a(h, std::uint64_t{b});
+  }
+  char buf[48];
+  std::snprintf(buf, sizeof buf, "%zu %016llx", pkts.size(),
+                static_cast<unsigned long long>(h));
+  return buf;
+}
+
+/// Restores the process-global FFT backend active when the test started.
+struct BackendGuard {
+  const char* prev = dsp::active_fft_backend().name();
+  ~BackendGuard() { dsp::set_fft_backend(prev); }
+};
+
+TEST(Streaming, PinnedOutputWithForcedCuts) {
+  // Dense traffic never goes quiet, so the stream forces cuts, and its
+  // output then depends on where they land: no offline decode to compare
+  // with. The packets (in emission order) and the stats of each chunk size
+  // are pinned instead, as captured on the scalar backend. The trace is
+  // synthesized with libm, so another libm can shift it.
+  const BackendGuard guard;
+  ASSERT_TRUE(dsp::set_fft_backend("scalar"));
+  const lora::Params p = test_params();
+  const sim::Trace trace = collision_trace(3.0, 50.0, 9);
+  struct Pin {
+    std::size_t chunk;
+    const char* packets;
+    const char* stats;
+  };
+  // clang-format off
+  const Pin pins[] = {
+      {p.sps() / 4, "67 2f4ac1a2b135e741",
+       R"({"samples_in":750000,"chunks":5860,"segments":5,"forced_cuts":3,"spans_refined":33,"samples_retired":750000,"live_packets":0,"peak_live_packets":47,"high_water_samples":204800,"packets_emitted":67,"rx":{"detected":139,"header_ok":107,"crc_ok":67,"decoded_first_pass":62,"decoded_second_pass":5,"bec":{"delta_prime":0,"delta1":11320,"delta2":67,"delta3":0,"crc_checks":673,"blocks_no_repair":2010,"candidate_blocks":2403},"rescued_packets":67,"rescued_codewords":85}})"},
+      {16 * p.sps(), "71 afadba8d82c0d4d8",
+       R"({"samples_in":750000,"chunks":92,"segments":6,"forced_cuts":3,"spans_refined":26,"samples_retired":750000,"live_packets":0,"peak_live_packets":44,"high_water_samples":209920,"packets_emitted":71,"rx":{"detected":138,"header_ok":114,"crc_ok":71,"decoded_first_pass":64,"decoded_second_pass":7,"bec":{"delta_prime":0,"delta1":9982,"delta2":98,"delta3":0,"crc_checks":603,"blocks_no_repair":1958,"candidate_blocks":1347},"rescued_packets":71,"rescued_codewords":97}})"},
+      {trace.iq.size(), "77 fd00447667b5c301",
+       R"({"samples_in":750000,"chunks":1,"segments":7,"forced_cuts":3,"spans_refined":34,"samples_retired":750000,"live_packets":0,"peak_live_packets":53,"high_water_samples":256512,"packets_emitted":77,"rx":{"detected":140,"header_ok":116,"crc_ok":77,"decoded_first_pass":73,"decoded_second_pass":4,"bec":{"delta_prime":0,"delta1":10249,"delta2":225,"delta3":0,"crc_checks":709,"blocks_no_repair":1942,"candidate_blocks":1650},"rescued_packets":77,"rescued_codewords":118}})"},
+  };
+  // clang-format on
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE("chunk=" + std::to_string(pin.chunk));
+    StreamingReceiver srx(p);
+    BufferSource source(trace.iq);
+    srx.consume(source, pin.chunk);
+    EXPECT_GE(srx.stats().forced_cuts, 2u);
+    EXPECT_EQ(summarize(srx.packets()), pin.packets);
+    EXPECT_EQ(srx.stats().to_json(), pin.stats);
+  }
 }
 
 /// Yields `chunks` chunks of 64 zero samples, then throws; with
