@@ -13,6 +13,8 @@ int main() {
                       "paper Fig. 1(b)(c)");
   lora::Params p{.sf = 8, .cr = 4, .bandwidth_hz = 125e3, .osf = 8};
   const lora::Demodulator demod(p);
+  lora::Workspace ws(p);
+  SignalVector sv;
   const std::uint32_t shift = 64;
 
   // A symbol followed by a *different* symbol, so a late window loses the
@@ -27,8 +29,9 @@ int main() {
   for (int i = 0; i <= 10; ++i) {
     const double frac = i / 10.0 * 0.5;  // up to half a symbol
     const std::size_t off = static_cast<std::size_t>(frac * p.sps());
-    const SignalVector sv = demod.signal_vector(
-        std::span<const cfloat>(twosym).subspan(off, p.sps()), 0.0);
+    demod.signal_vector_into(
+        std::span<const cfloat>(twosym).subspan(off, p.sps()), 0.0,
+        /*up=*/true, ws, sv);
     // Track the first symbol's (shifting) peak rather than the global max.
     const std::size_t want =
         (shift + static_cast<std::size_t>(frac * static_cast<double>(p.n_bins()))) %
@@ -45,7 +48,7 @@ int main() {
   std::printf("\ncfo_cycles  rel_peak_height\n");
   for (int i = 0; i <= 10; ++i) {
     const double cfo = i / 10.0;  // 0..1 cycles per symbol
-    const SignalVector sv = demod.signal_vector(sym, cfo);
+    demod.signal_vector_into(sym, cfo, /*up=*/true, ws, sv);
     // Peak splits between adjacent bins as the CFO grows.
     const float peak = *std::max_element(sv.begin(), sv.end());
     std::printf("%8.2f %18.3f\n", cfo, peak / h0);

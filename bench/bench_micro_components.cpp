@@ -68,22 +68,10 @@ void BM_ForwardBatch(benchmark::State& state) {
 BENCHMARK(BM_ForwardBatch)
     ->ArgsProduct({{8, 12}, {1, 8}, {1, 8, 64}});
 
-void BM_SignalVector(benchmark::State& state) {
-  const unsigned sf = static_cast<unsigned>(state.range(0));
-  lora::Params p{.sf = sf, .cr = 4, .bandwidth_hz = 125e3, .osf = 8};
-  const lora::Demodulator demod(p);
-  const auto sym = lora::make_upchirp(p, 42);
-  for (auto _ : state) {
-    const SignalVector sv = demod.signal_vector(sym, 1.37);
-    benchmark::DoNotOptimize(sv.data());
-  }
-}
-BENCHMARK(BM_SignalVector)->Arg(8)->Arg(10)->Arg(12);
-
 void BM_DechirpWorkspace(benchmark::State& state) {
-  // The zero-allocation kernel path: same work as BM_SignalVector but
-  // through signal_vector_into with a warm workspace and caller-owned
-  // output, i.e. what the receiver's steady-state decode loop runs.
+  // One symbol's dechirp + FFT + fold through signal_vector_into with a
+  // warm workspace and caller-owned output, i.e. what the receiver's
+  // steady-state decode loop runs.
   const unsigned sf = static_cast<unsigned>(state.range(0));
   lora::Params p{.sf = sf, .cr = 4, .bandwidth_hz = 125e3, .osf = 8};
   const lora::Demodulator demod(p);

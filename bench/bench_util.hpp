@@ -142,7 +142,7 @@ inline SchemeResult run_scheme(
                        : std::vector<std::span<const cfloat>>{trace.iq};
   // Schemes with their own synchronization front end (LZn) must not take
   // shared Detector results — their detection path IS the thing measured.
-  const bool own_sync = base::scheme_uses_custom_sync(scheme);
+  const bool own_sync = receiver.options().sync != nullptr;
   const auto decoded =
       detections != nullptr && !own_sync
           ? receiver.decode_with_detections(spans, *detections, rng, &r.stats)

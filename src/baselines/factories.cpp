@@ -13,10 +13,6 @@
 namespace tnb::base {
 namespace {
 
-using AssignerCtor =
-    std::unique_ptr<rx::PeakAssigner> (*)(const lora::Params&);
-using SyncCtor = std::unique_ptr<rx::FrameSync> (*)(const lora::Params&);
-
 template <class T>
 std::unique_ptr<rx::PeakAssigner> assigner(const lora::Params& p) {
   return std::make_unique<T>(p);
@@ -31,9 +27,9 @@ struct SchemeRow {
   const char* name;  ///< as in the paper's figures
   bool use_bec;
   bool two_pass;
-  bool use_history;
-  AssignerCtor assigner;  ///< nullptr: the receiver's default, Thrive
-  SyncCtor sync;          ///< nullptr: the built-in Detector + FracSync
+  bool use_history;           ///< ThriveOptions::use_history
+  rx::AssignerCtor assigner;  ///< nullptr: the receiver's default, Thrive
+  rx::SyncCtor sync;          ///< nullptr: the built-in Detector + FracSync
 };
 
 // One row per Scheme, in enum order: the row index is the enum value, and
@@ -96,8 +92,6 @@ std::string scheme_cli_list() {
   return list;
 }
 
-bool scheme_uses_custom_sync(Scheme s) { return row(s).sync != nullptr; }
-
 std::vector<Scheme> all_schemes() {
   std::vector<Scheme> out;
   for (std::size_t i = 0; i < std::size(kSchemes); ++i) {
@@ -113,17 +107,12 @@ rx::Receiver make_receiver(Scheme s, const lora::Params& p,
   rx::ReceiverOptions opt;
   opt.use_bec = r.use_bec;
   opt.two_pass = r.two_pass;
-  opt.use_history = r.use_history;
+  opt.thrive.use_history = r.use_history;
+  opt.assigner = r.assigner;
+  opt.sync = r.sync;
   opt.implicit_header = implicit;
   opt.coding = coding;
-  rx::Receiver receiver(p, opt);
-  if (r.assigner != nullptr) {
-    receiver.set_assigner_factory([p, make = r.assigner] { return make(p); });
-  }
-  if (r.sync != nullptr) {
-    receiver.set_sync_factory([p, make = r.sync] { return make(p); });
-  }
-  return receiver;
+  return rx::Receiver(p, opt);
 }
 
 }  // namespace tnb::base

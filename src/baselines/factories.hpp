@@ -9,7 +9,10 @@
 // mirroring how the paper lends its packet detection to the compared
 // schemes so the comparison isolates the algorithms. Each scheme is one
 // row of a table in factories.cpp: its paper name, the use_bec, two_pass
-// and use_history switches, and its assigner and sync front end.
+// and Thrive use_history switches, and its assigner and sync front end.
+// make_receiver writes the row into rx::ReceiverOptions, so the options
+// alone carry the scheme: a Receiver, StreamingReceiver or fleet lane built
+// from make_receiver(...).options() runs that scheme.
 #pragma once
 
 #include <optional>
@@ -49,11 +52,6 @@ std::optional<Scheme> parse_scheme(const std::string& token);
 /// Comma-separated scheme_cli_name list of all schemes, for --help text
 /// and unknown-scheme error messages.
 std::string scheme_cli_list();
-
-/// True for schemes that replace the Detector + FracSync front end with
-/// their own synchronizer — their detections cannot be shared with the
-/// default-front-end schemes.
-bool scheme_uses_custom_sync(Scheme s);
 
 /// All schemes, in the order the paper lists them (new peers appended).
 std::vector<Scheme> all_schemes();

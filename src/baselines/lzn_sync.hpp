@@ -1,7 +1,7 @@
 // LZn-style collision-robust frame synchronization (Álamos et al.,
 // PAPERS.md), implemented as an rx::FrameSync front end — a drop-in
 // alternative to the receiver's built-in Detector + FracSync block
-// (installed via Receiver::set_sync_factory).
+// (selected by ReceiverOptions::sync).
 //
 // Where Detector demodulates each symbol-length window once and calls a
 // preamble from a run of matching peaks, LZn slides the window at a

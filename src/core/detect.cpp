@@ -14,6 +14,19 @@
 namespace tnb::rx {
 namespace {
 
+/// A signal-vector peak qualifies as a preamble candidate only if it is at
+/// least this many times the vector's noise floor; a step-2 check passes at
+/// the same ratio. Like kMaxPeaksPerWindow it is a constant, so a step-1
+/// scan depends only on its samples and the params, and any detector may
+/// read a shared one.
+constexpr double kPeakFloorRatio = 8.0;
+/// Minimum consecutive windows with a matching peak to call a preamble.
+constexpr std::size_t kMinRun = 5;
+/// Maximum peaks step 1 keeps per window.
+constexpr std::size_t kMaxPeaksPerWindow = 12;
+/// The paper's |CFO| bound; step 3 allows one cycle per symbol more.
+constexpr double kMaxCfoHz = 4880.0;
+
 /// Noise-floor proxy of a signal vector: its median, kept above a tiny
 /// fraction of the maximum so noiseless traces (unit tests, saturated
 /// captures) do not make every spectral leak look significant. The median
@@ -63,11 +76,11 @@ struct Detector::PassMemo {
 };
 
 Detector::Detector(lora::Params params, DetectorOptions opt)
-    : p_(params), opt_(opt), demod_(params) {
+    : p_(params),
+      opt_(opt),
+      demod_(params),
+      max_cfo_cycles_(p_.cfo_hz_to_cycles(kMaxCfoHz) + 1.0) {
   p_.validate();
-  if (opt_.max_cfo_cycles <= 0.0) {
-    opt_.max_cfo_cycles = p_.cfo_hz_to_cycles(4880.0) + 1.0;
-  }
 }
 
 std::vector<WindowPeaks> Detector::scan(std::span<const cfloat> trace,
@@ -80,7 +93,7 @@ std::vector<WindowPeaks> Detector::scan(std::span<const cfloat> trace,
 
   dsp::PeakFinderOptions pf;
   pf.circular = true;
-  pf.max_peaks = opt_.max_peaks_per_window;
+  pf.max_peaks = kMaxPeaksPerWindow;
 
   // Windows go in batches of 8: they are contiguous full-symbol slices of
   // the trace demodulated at CFO 0, so each chunk is one batched
@@ -102,7 +115,7 @@ std::vector<WindowPeaks> Detector::scan(std::span<const cfloat> trace,
       // visible next to a strong collider (>20 dB SNR spread, paper Fig. 10).
       pf.sel = 4.0 * floor;
       pf.use_threshold = true;
-      pf.threshold = opt_.peak_floor_ratio * floor;
+      pf.threshold = kPeakFloorRatio * floor;
       out.push_back(dsp::find_peaks(sv, pf));
     }
   }
@@ -125,7 +138,7 @@ std::vector<Detector::Candidate> Detector::find_runs(
   std::vector<Candidate> candidates;
 
   auto finalize = [&](const Run& r) {
-    if (r.last - r.first + 1 < opt_.min_run) return;
+    if (r.last - r.first + 1 < kMinRun) return;
     Candidate c;
     c.first_window = r.first;
     c.run_len = r.last - r.first + 1;
@@ -205,7 +218,7 @@ void Detector::resolve_candidate(std::span<const cfloat> trace,
     if (fresh) {
       demod_.signal_vector_into(trace.subspan(k * sps, sps), 0.0,
                                 /*up=*/false, ws, sv);
-      pf.threshold = opt_.peak_floor_ratio * noise_floor(sv);
+      pf.threshold = kPeakFloorRatio * noise_floor(sv);
       peaks->second = dsp::find_peaks(sv, pf);
     }
     for (const dsp::Peak& pk : peaks->second) {
@@ -260,9 +273,9 @@ void Detector::resolve_candidate(std::span<const cfloat> trace,
     // to a N/2 ambiguity; the CFO bound picks the right branch.
     const double s = floor_mod((cand.x1 + hyp.x2) / 2.0, n / 2.0);
     double eps = wrap_half(s, n / 2.0);
-    if (std::abs(eps) > opt_.max_cfo_cycles) {
+    if (std::abs(eps) > max_cfo_cycles_) {
       const double alt = eps > 0 ? eps - n / 2.0 : eps + n / 2.0;
-      if (std::abs(alt) > opt_.max_cfo_cycles) continue;
+      if (std::abs(alt) > max_cfo_cycles_) continue;
       eps = alt;
     }
     const double delta = floor_mod(cand.x1 - eps, n);  // chirp samples
@@ -286,7 +299,7 @@ void Detector::resolve_candidate(std::span<const cfloat> trace,
         }
         const PassMemo::CheckWindow w = check_window(start, eps, up);
         const double rel = w.energy[slot] / w.floor;
-        if (rel >= opt_.peak_floor_ratio) {
+        if (rel >= kPeakFloorRatio) {
           ++score;
           strength += rel;
         }

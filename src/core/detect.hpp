@@ -42,18 +42,8 @@ struct DetectedPacket {
 using WindowPeaks = std::vector<dsp::Peak>;
 
 struct DetectorOptions {
-  /// A signal-vector peak qualifies as a preamble candidate only if it is
-  /// at least this many times the vector's median (noise floor proxy).
-  double peak_floor_ratio = 8.0;
-  /// Minimum consecutive windows with a matching peak to call a preamble.
-  std::size_t min_run = 5;
-  /// Maximum |CFO| in cycles per symbol used to resolve the (x1+x2)/2
-  /// half-period ambiguity. Defaults to the +/-4.88 kHz bound of the paper.
-  double max_cfo_cycles = 0.0;  ///< 0 = derive from 4.88 kHz and params
   /// Minimum step-2 validation checks (out of 12) to accept a preamble.
   int min_validation_score = 8;
-  /// Maximum peaks examined per detection window.
-  std::size_t max_peaks_per_window = 12;
 };
 
 class Detector {
@@ -62,20 +52,19 @@ class Detector {
 
   /// Step 1's scan: the peaks of each full symbol window of `trace`, entry
   /// k for samples [k sps, (k + 1) sps), demodulated at CFO 0 in batches
-  /// of 8. Reads only peak_floor_ratio and max_peaks_per_window. The scans
-  /// of pieces of a trace split at multiples of sps join to the scan of
-  /// the whole, bit for bit (tests/test_detect_golden.cpp). `ws`: general
-  /// slot 1 and SV slot 0 are clobbered.
+  /// of 8. Reads no option: a scan depends only on its samples and the
+  /// params. The scans of pieces of a trace split at multiples of sps join
+  /// to the scan of the whole, bit for bit (tests/test_detect_golden.cpp).
+  /// `ws`: general slot 1 and SV slot 0 are clobbered.
   std::vector<WindowPeaks> scan(std::span<const cfloat> trace,
                                 lora::Workspace& ws) const;
 
-  /// Detects all preambles in `trace`, given its scan: one entry per full
-  /// symbol window (std::invalid_argument otherwise), as scan() of a
-  /// detector with the same peak_floor_ratio and max_peaks_per_window
-  /// returns it. Results are coarse (integer-sample timing, integer-bin
-  /// CFO with interpolation refinement); feed them to FracSync for the
-  /// paper's step-4 refinement. Sorted by t0. `ws` supplies all
-  /// demodulation scratch (general slot 0 and SV slot 0 are clobbered).
+  /// Detects all preambles in `trace`, given its scan(): one entry per
+  /// full symbol window (std::invalid_argument otherwise). Results are
+  /// coarse (integer-sample timing, integer-bin CFO with interpolation
+  /// refinement); feed them to FracSync for the paper's step-4
+  /// refinement. Sorted by t0. `ws` supplies all demodulation scratch
+  /// (general slot 0 and SV slot 0 are clobbered).
   /// Each step-2 check window and each downchirp window is demodulated
   /// once per call (DESIGN.md "Hot-path kernels"); nothing is kept
   /// between calls.
@@ -110,6 +99,9 @@ class Detector {
   lora::Params p_;
   DetectorOptions opt_;
   lora::Demodulator demod_;
+  /// |CFO| bound, cycles per symbol, resolving step 3's half-period
+  /// ambiguity (detect.cpp).
+  double max_cfo_cycles_;
 };
 
 }  // namespace tnb::rx

@@ -5,9 +5,9 @@
 // implementation replaces that whole block for one antenna: it receives the
 // raw trace and returns fully refined detections, ready for the checking-
 // point walk. Baseline synchronizers from the related work (LZn-style
-// collision-robust sync, src/baselines/lzn_sync.hpp) plug in here via
-// Receiver::set_sync_factory, mirroring how PeakAssigner swaps the
-// assignment strategy.
+// collision-robust sync, src/baselines/lzn_sync.hpp) plug in here through
+// ReceiverOptions::sync, as ReceiverOptions::assigner swaps the
+// PeakAssigner.
 #pragma once
 
 #include <span>

@@ -69,12 +69,6 @@ Receiver::Receiver(lora::Params p, ReceiverOptions opt)
       opt_(opt),
       // Validates p.
       codec_({p_, opt_.use_bec, opt_.implicit_header, opt_.coding}) {
-  ThriveOptions topt = opt_.thrive;
-  topt.use_history = opt_.use_history;
-  const lora::Params params = p_;
-  factory_ = [params, topt]() -> std::unique_ptr<PeakAssigner> {
-    return std::make_unique<Thrive>(params, topt);
-  };
   obs::Registry* reg = obs::resolve(opt_.metrics);
   obs_.stages = obs::StageTimer::for_registry(reg, opt_.metric_labels);
   if (reg != nullptr) {
@@ -103,14 +97,6 @@ Receiver::Receiver(lora::Params p, ReceiverOptions opt)
   }
 }
 
-void Receiver::set_assigner_factory(AssignerFactory factory) {
-  factory_ = std::move(factory);
-}
-
-void Receiver::set_sync_factory(SyncFactory factory) {
-  sync_factory_ = std::move(factory);
-}
-
 std::vector<sim::DecodedPacket> Receiver::decode(
     std::span<const cfloat> trace, Rng& rng, ReceiverStats* stats) const {
   return decode_multi({trace}, rng, stats);
@@ -121,10 +107,10 @@ std::vector<DetectedPacket> Receiver::detect(
     std::span<const WindowPeaks> scan) const {
   std::vector<DetectedPacket> detections;
   if (antennas.empty() || antennas[0].empty()) return detections;
-  if (sync_factory_) {
-    // Custom front end (set_sync_factory): the FrameSync owns detection AND
+  if (opt_.sync != nullptr) {
+    // The scheme's own front end: the FrameSync owns detection AND
     // refinement per antenna; only the cross-antenna merge below is shared.
-    const std::unique_ptr<FrameSync> fs = sync_factory_();
+    const std::unique_ptr<FrameSync> fs = opt_.sync(p_);
     for (const auto& ant : antennas) {
       std::vector<DetectedPacket> found;
       {
@@ -153,9 +139,9 @@ std::vector<DetectedPacket> Receiver::detect(
         for (DetectedPacket& det : found) {
           const FracSyncResult r =
               fsync.refine(ant, det.t0, det.cfo_cycles, ws);
-          // Only trust the refinement when the Q* gate confirmed it: with a
-          // heavily collided preamble the ungated fallback can be steered by
-          // an interferer, and the coarse estimate is then the safer choice.
+          // An ungated refine (the Q* gate passed nowhere) returns
+          // dt = df = 0: the detection keeps its coarse estimate, and the
+          // guard only skips two additions of zero.
           if (r.gated) {
             det.t0 += r.dt;
             det.cfo_cycles += r.df;
@@ -243,7 +229,10 @@ std::vector<sim::DecodedPacket> Receiver::decode_with_detections(
 
   const double sps = static_cast<double>(p_.sps());
   const std::size_t n_checkpoints = sig.trace_len() / p_.sps() + 2;
-  std::unique_ptr<PeakAssigner> assigner = factory_();
+  const std::unique_ptr<PeakAssigner> assigner =
+      opt_.assigner != nullptr
+          ? opt_.assigner(p_)
+          : std::make_unique<Thrive>(p_, opt_.thrive);
 
   // Decodes header / payload of packet `pi` as soon as enough symbols are
   // assigned. Returns true if the packet reached a terminal state.
@@ -271,7 +260,7 @@ std::vector<sim::DecodedPacket> Receiver::decode_with_detections(
                                    stats != nullptr ? &stats->bec : nullptr);
       }
       if (!hdr.has_value()) {
-        if (static_cast<int>(t.bins.size()) >= opt_.max_tracked_symbols) {
+        if (static_cast<int>(t.bins.size()) >= kMaxTrackedSymbols) {
           t.dead = true;
         }
         // Header may still resolve on the second pass with better masking.
@@ -379,7 +368,7 @@ std::vector<sim::DecodedPacket> Receiver::decode_with_detections(
         Tracked& t = pkts[pi];
         if (t.dead || t.decoded) continue;
         int limit = t.ctx.n_data_symbols;
-        if (limit < 0) limit = opt_.max_tracked_symbols;
+        if (limit < 0) limit = kMaxTrackedSymbols;
         const auto d = t.ctx.data_symbol_at(c, limit);
         if (!d.has_value()) continue;
         active.push_back({static_cast<int>(pi), *d,

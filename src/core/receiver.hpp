@@ -10,7 +10,6 @@
 // history is fitted over the whole packet.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -28,21 +27,38 @@
 
 namespace tnb::rx {
 
+/// Stop tracking a packet whose header has not resolved after this many
+/// data symbols (robustness against false detections). StreamingReceiver
+/// bounds a live packet's span by it too.
+inline constexpr int kMaxTrackedSymbols = 96;
+
+/// Builds a scheme's peak assigner, or its frame-synchronization front end,
+/// for one decode or detect call.
+using AssignerCtor = std::unique_ptr<PeakAssigner> (*)(const lora::Params&);
+using SyncCtor = std::unique_ptr<FrameSync> (*)(const lora::Params&);
+
+/// The one value that describes a receiver: its scheme (assigner, sync
+/// front end, use_bec, two_pass, thrive), frame format and metrics sink. A
+/// Receiver has no state set after construction, so a StreamingReceiver or
+/// fleet lane built from the same options runs the same scheme.
 struct ReceiverOptions {
   bool use_bec = true;      ///< false = default Hamming decoder ("Thrive")
-  bool use_history = true;  ///< false = sibling cost only ("Sibling")
   bool two_pass = true;
   bool use_frac_sync = true;
   DetectorOptions detector;
   ThriveOptions thrive;
+  /// Peak assigner, built once per decode. nullptr = Thrive with `thrive`.
+  AssignerCtor assigner = nullptr;
+  /// Front end, built once per detect call and shared across that call's
+  /// antennas: it replaces the built-in Detector + FracSync block and owns
+  /// its own refinement (use_frac_sync is ignored). Cross-antenna merging
+  /// is unchanged. nullptr = the built-in front end.
+  SyncCtor sync = nullptr;
   /// Engaged when set: no header symbols are expected or decoded.
   std::optional<ImplicitHeader> implicit_header;
   /// Frame format of the packets: the paper's (default) or the
   /// gr-lora-sdr wire format (lora/coding.hpp).
   lora::Coding coding = lora::Coding::kPaper;
-  /// Stop tracking a packet whose header has not resolved after this many
-  /// data symbols (robustness against false detections).
-  int max_tracked_symbols = 96;
   /// Observability registry for per-stage timing histograms and decode
   /// counters. nullptr falls back to obs::Registry::global() (resolved at
   /// Receiver construction); when that is also null, instrumentation is
@@ -100,20 +116,6 @@ class Receiver {
  public:
   explicit Receiver(lora::Params p, ReceiverOptions opt = {});
 
-  /// Installs a peak-assignment strategy factory (called once per decode).
-  /// Default: Thrive with the configured options.
-  using AssignerFactory = std::function<std::unique_ptr<PeakAssigner>()>;
-  void set_assigner_factory(AssignerFactory factory);
-
-  /// Installs a frame-synchronization front end factory (called once per
-  /// detect pass; the instance is shared across that pass's antennas). When
-  /// set, detect() hands each antenna to the FrameSync instead of the
-  /// built-in Detector + FracSync block — the front end owns its own
-  /// refinement (use_frac_sync is ignored). Cross-antenna merging is
-  /// unchanged. Default: none (built-in front end).
-  using SyncFactory = std::function<std::unique_ptr<FrameSync>()>;
-  void set_sync_factory(SyncFactory factory);
-
   /// Decodes a single-antenna trace.
   std::vector<sim::DecodedPacket> decode(std::span<const cfloat> trace,
                                          Rng& rng,
@@ -128,12 +130,11 @@ class Receiver {
   /// Runs detection + fractional sync only. The result can be fed to
   /// decode_with_detections — e.g. to decode the same trace with several
   /// schemes without re-detecting (all schemes share TnB's detector, as in
-  /// the paper's methodology). `scan`, when not empty, is antenna 0's
-  /// step-1 scan (Detector::scan with options().detector), which the
-  /// built-in front end then reads instead of scanning antenna 0 again; a
-  /// trace shorter than one symbol has an empty scan either way. The
-  /// streaming receiver passes the slice of its stream-wide scan that
-  /// covers a segment.
+  /// the paper's methodology). `scan`, when not empty, is Detector::scan
+  /// of antenna 0, which the built-in front end then reads instead of
+  /// scanning antenna 0 again (options().sync ignores it); a trace shorter
+  /// than one symbol has an empty scan either way. The streaming receiver
+  /// passes the slice of its stream-wide scan that covers a segment.
   std::vector<DetectedPacket> detect(
       std::vector<std::span<const cfloat>> antennas,
       std::span<const WindowPeaks> scan = {}) const;
@@ -162,9 +163,7 @@ class Receiver {
   lora::Params p_;
   ReceiverOptions opt_;
   FrameCodec codec_;
-  AssignerFactory factory_;
-  SyncFactory sync_factory_;  ///< empty = built-in Detector + FracSync
-  Instrumentation obs_;       ///< null handles when metrics are disabled
+  Instrumentation obs_;  ///< null handles when metrics are disabled
 };
 
 }  // namespace tnb::rx

@@ -8,6 +8,14 @@
 #include "core/sibling.hpp"
 
 namespace tnb::rx {
+namespace {
+
+/// Bins: a found peak within this cyclic distance of the expected location
+/// is the sibling, otherwise the raw vector value at the expected bin is
+/// used; a peak this close to a masked or assigned bin is that bin's.
+constexpr double kSiblingTol = 1.5;
+
+}  // namespace
 
 double map_bin(double b, double alpha_from, double alpha_to, std::size_t n) {
   return floor_mod(b + (alpha_to - alpha_from), static_cast<double>(n));
@@ -116,7 +124,7 @@ std::vector<Assignment> Thrive::assign(const AssignInput& in) {
       if (st.cands.size() >= max_peaks) break;
       bool masked = false;
       for (double mb : masks) {
-        if (std::abs(wrap_half(pk.frac_index - mb, nd)) <= opt_.sibling_tol) {
+        if (std::abs(wrap_half(pk.frac_index - mb, nd)) <= kSiblingTol) {
           masked = true;
           break;
         }
@@ -136,7 +144,7 @@ std::vector<Assignment> Thrive::assign(const AssignInput& in) {
         const double expected =
             map_bin(c.bin, st.alpha, wctx.alpha_at(w.window_start), n);
         h_star = std::max(
-            h_star, sibling_height(in, w, expected, opt_.sibling_tol));
+            h_star, sibling_height(in, w, expected, kSiblingTol));
       }
       const double ratio = c.height / h_star;
       c.cost = (1.0 - ratio) * (1.0 - ratio);
@@ -211,7 +219,7 @@ std::vector<Assignment> Thrive::assign(const AssignInput& in) {
       const double expected = map_bin(best->bin, st.alpha, state[k].alpha, n);
       for (Candidate& c : state[k].cands) {
         if (c.alive &&
-            std::abs(wrap_half(c.bin - expected, nd)) <= opt_.sibling_tol) {
+            std::abs(wrap_half(c.bin - expected, nd)) <= kSiblingTol) {
           c.alive = false;
         }
       }
@@ -232,7 +240,7 @@ std::vector<Assignment> Thrive::assign(const AssignInput& in) {
       bool masked = false;
       for (double mb : in.masked_bins[i]) {
         if (std::abs(wrap_half(static_cast<double>(b) - mb, nd)) <=
-            opt_.sibling_tol) {
+            kSiblingTol) {
           masked = true;
           break;
         }

@@ -19,12 +19,8 @@
 namespace tnb::rx {
 
 struct ThriveOptions {
-  double omega = 0.1;        ///< history-cost weight (paper value)
-  bool use_history = true;   ///< false = the paper's "Sibling" configuration
-  double sibling_tol = 1.5;  ///< bins: a found peak within this cyclic
-                             ///< distance of the expected location is the
-                             ///< sibling; otherwise the raw vector value at
-                             ///< the expected bin is used
+  double omega = 0.1;       ///< history-cost weight (paper value)
+  bool use_history = true;  ///< false = the paper's "Sibling" configuration
 };
 
 /// Work counters, matching the complexity discussion of paper 5.3.5: at a

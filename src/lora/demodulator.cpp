@@ -55,12 +55,6 @@ Demodulator::Demodulator(Params p)
   p_.validate();
 }
 
-Workspace& Demodulator::scratch() const {
-  thread_local Workspace ws;
-  ws.reserve(p_);
-  return ws;
-}
-
 void Demodulator::dechirp_fft_into(std::span<const cfloat> window,
                                    double cfo_cycles, bool up, Workspace& ws,
                                    std::span<cfloat> out) const {
@@ -102,13 +96,6 @@ void Demodulator::dechirp_fft_batch_into(std::span<const cfloat> windows,
   dsp::fft_plan(sps).forward_batch(out, count);
 }
 
-std::vector<cfloat> Demodulator::dechirp_fft(std::span<const cfloat> window,
-                                             double cfo_cycles, bool up) const {
-  std::vector<cfloat> buf(p_.sps());
-  dechirp_fft_into(window, cfo_cycles, up, scratch(), buf);
-  return buf;
-}
-
 void Demodulator::fold(std::span<const cfloat> spectrum, SignalVector& out) const {
   const std::size_t n = p_.n_bins();
   if (spectrum.size() != p_.sps()) {
@@ -136,13 +123,6 @@ void Demodulator::signal_vector_into(std::span<const cfloat> window,
   fold(spec, out);
 }
 
-SignalVector Demodulator::signal_vector(std::span<const cfloat> window,
-                                        double cfo_cycles, bool up) const {
-  SignalVector sv;
-  signal_vector_into(window, cfo_cycles, up, scratch(), sv);
-  return sv;
-}
-
 std::size_t Demodulator::argmax(std::span<const float> sv) {
   return static_cast<std::size_t>(
       std::max_element(sv.begin(), sv.end()) - sv.begin());
@@ -158,11 +138,6 @@ std::uint32_t Demodulator::demod_bin(std::span<const cfloat> window,
                                      double cfo_cycles, Workspace& ws) const {
   signal_vector_into(window, cfo_cycles, /*up=*/true, ws, ws.sv_);
   return static_cast<std::uint32_t>(argmax(ws.sv_));
-}
-
-std::uint32_t Demodulator::demod_value(std::span<const cfloat> window,
-                                       double cfo_cycles) const {
-  return demod_value(window, cfo_cycles, scratch());
 }
 
 }  // namespace tnb::lora

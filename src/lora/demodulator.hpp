@@ -5,14 +5,10 @@
 // folded together, yielding a 2^SF-long power vector with a peak at the
 // transmitted cyclic shift (paper Section 3, Fig. 1).
 //
-// Two API levels (DESIGN.md "Hot-path kernels"):
-//  - `dechirp_fft_into` / `signal_vector_into` are the zero-allocation
-//    kernels: they write into caller-owned buffers and draw all scratch
-//    (FFT buffer, per-CFO phasor tables) from a `Workspace`, so the
-//    steady-state decode loop performs no heap allocations per symbol.
-//  - `dechirp_fft` / `signal_vector` / `demod_value` are thin by-value
-//    wrappers over the kernels using a per-thread workspace; both levels
-//    produce bit-identical results.
+// The kernels are zero-allocation (DESIGN.md "Hot-path kernels"): they
+// write into caller-owned buffers and draw all scratch (FFT buffer,
+// per-CFO phasor tables) from a caller-owned `Workspace`, so the
+// steady-state decode loop performs no heap allocations per symbol.
 #pragma once
 
 #include <array>
@@ -94,18 +90,15 @@ class Demodulator {
 
   const Params& params() const { return p_; }
 
-  /// Complex spectrum (length sps) of one symbol window after dechirping
-  /// and CFO correction. `up` selects the dechirping reference: true
-  /// multiplies by the downchirp (demodulates upchirp symbols), false by
-  /// the upchirp (demodulates the preamble downchirps). Windows shorter
-  /// than sps are zero-padded (partial symbols at trace edges).
-  std::vector<cfloat> dechirp_fft(std::span<const cfloat> window,
-                                  double cfo_cycles, bool up = true) const;
-
-  /// Zero-allocation form of `dechirp_fft`: dechirps `window` into `out`
-  /// (which must be sps long), zero-pads, and transforms in place. `ws`
-  /// supplies the cached phasor table; `out` may be any writable storage
-  /// (including a `ws.iq_scratch` slot).
+  /// Complex spectrum of one symbol window after dechirping and CFO
+  /// correction, written to `out` (which must be sps long): dechirps
+  /// `window` into `out`, zero-pads, and transforms in place. `up` selects
+  /// the dechirping reference: true multiplies by the downchirp
+  /// (demodulates upchirp symbols), false by the upchirp (demodulates the
+  /// preamble downchirps). Windows shorter than sps are zero-padded
+  /// (partial symbols at trace edges); longer ones throw
+  /// std::invalid_argument. `ws` supplies the cached phasor table; `out`
+  /// may be any writable storage (including a `ws.iq_scratch` slot).
   void dechirp_fft_into(std::span<const cfloat> window, double cfo_cycles,
                         bool up, Workspace& ws, std::span<cfloat> out) const;
 
@@ -120,13 +113,9 @@ class Demodulator {
                               std::size_t count, double cfo_cycles, bool up,
                               Workspace& ws, std::span<cfloat> out) const;
 
-  /// Folded power signal vector (length 2^SF).
-  SignalVector signal_vector(std::span<const cfloat> window,
-                             double cfo_cycles, bool up = true) const;
-
-  /// Zero-allocation form of `signal_vector`: computes the spectrum into
-  /// the workspace FFT buffer and folds it into `out` (resized to 2^SF
-  /// only when its length differs).
+  /// Folded power signal vector of one symbol window: computes the
+  /// spectrum (as dechirp_fft_into) into the workspace FFT buffer and folds
+  /// it into `out` (resized to 2^SF only when its length differs).
   void signal_vector_into(std::span<const cfloat> window, double cfo_cycles,
                           bool up, Workspace& ws, SignalVector& out) const;
 
@@ -143,10 +132,6 @@ class Demodulator {
   /// Demodulated paper-format symbol value of the argmax bin
   /// (lora::value_for_bin).
   std::uint32_t demod_value(std::span<const cfloat> window,
-                            double cfo_cycles) const;
-
-  /// Zero-allocation form of `demod_value` (uses workspace scratch).
-  std::uint32_t demod_value(std::span<const cfloat> window,
                             double cfo_cycles, Workspace& ws) const;
 
   /// Raw peak bin (argmax, no Gray mapping) — what rx::FrameCodec consumes.
@@ -154,9 +139,6 @@ class Demodulator {
                           Workspace& ws) const;
 
  private:
-  /// Per-thread workspace backing the by-value wrapper methods.
-  Workspace& scratch() const;
-
   Params p_;
   std::vector<cfloat> downchirp_;  // conj(C), oversampled
   std::vector<cfloat> upchirp_;    // C, oversampled

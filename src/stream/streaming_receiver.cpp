@@ -13,12 +13,18 @@
 namespace tnb::stream {
 namespace {
 
+/// Detection lookahead, in symbols: a cut needs this much signal beyond it
+/// so preambles starting just before the cut are already visible. It must
+/// cover a full preamble (12.25 T) plus the detector's downchirp search and
+/// step-2 shifts (~4 T more); anything shorter could cut through a preamble
+/// that is not yet visible (DESIGN.md "Streaming gateway").
+constexpr std::size_t kTailGuardSymbols = 20;
+
 /// The liveness detector reuses the receiver's detector configuration with
 /// a more permissive validation gate: everything the decode-time detector
 /// would accept is strictly contained in what this one reports, so a cut
 /// declared quiet by the liveness scan is quiet for the segment decode too.
 /// Extra (false) detections only delay cuts; they never break equivalence.
-/// Step 1 never reads the gate, so the two detectors share one scan.
 rx::DetectorOptions liveness_options(rx::DetectorOptions opt) {
   opt.min_validation_score = std::max(4, opt.min_validation_score - 2);
   return opt;
@@ -56,16 +62,12 @@ StreamingReceiver::StreamingReceiver(lora::Params p, rx::ReceiverOptions ropt,
       ws_(p) {
   p_.validate();
   const std::size_t sps = p_.sps();
-  // The tail guard must cover a full preamble (12.25 T) plus the detector's
-  // downchirp search and step-2 shifts (~4 T more); anything shorter could
-  // cut through a preamble that is not yet visible.
-  sopt_.tail_guard_symbols = std::max<std::size_t>(sopt_.tail_guard_symbols, 18);
-  std::size_t max_pkt = sopt_.max_packet_symbols != 0
-                            ? sopt_.max_packet_symbols
-                            : static_cast<std::size_t>(
-                                  std::max(1, ropt.max_tracked_symbols));
+  const std::size_t max_pkt =
+      sopt_.max_packet_symbols != 0
+          ? sopt_.max_packet_symbols
+          : static_cast<std::size_t>(rx::kMaxTrackedSymbols);
   max_span_samples_ = p_.preamble_samples() + (max_pkt + 2) * sps + 2 * sps;
-  tail_guard_samples_ = sopt_.tail_guard_symbols * sps;
+  tail_guard_samples_ = kTailGuardSymbols * sps;
   // The window must fit one maximum packet span between two clean cuts,
   // plus the tail guard, or every cut would be forced.
   const std::size_t min_window =

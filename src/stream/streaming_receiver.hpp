@@ -48,13 +48,9 @@ struct StreamingOptions {
   /// two maximum spans plus the tail guard, so moderate collision clusters
   /// still leave clean cut points.
   std::size_t window_symbols = 320;
-  /// Detection lookahead, in symbols: a cut needs this much signal beyond
-  /// it so preambles starting just before the cut are already visible
-  /// (preamble 12.25 T + step-2 validation span, see DESIGN.md).
-  std::size_t tail_guard_symbols = 20;
   /// Span bound of a live packet whose header is still unknown, in data
-  /// symbols. 0 = the receiver's max_tracked_symbols. Packets longer than
-  /// this may be split by a segment cut.
+  /// symbols. 0 = rx::kMaxTrackedSymbols. Packets longer than this may be
+  /// split by a segment cut.
   std::size_t max_packet_symbols = 0;
   /// Seed of the per-segment decode RNG (BEC's sampling fallback).
   std::uint64_t rng_seed = 1;

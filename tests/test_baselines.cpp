@@ -143,16 +143,16 @@ TEST(Factories, NewSchemeConfigs) {
   EXPECT_FALSE(make_receiver(Scheme::kLZnThrive, p).options().use_bec);
   EXPECT_TRUE(make_receiver(Scheme::kCoRaTnB, p).options().use_bec);
   EXPECT_TRUE(make_receiver(Scheme::kCoRaTnB, p).options().two_pass);
-  EXPECT_TRUE(scheme_uses_custom_sync(Scheme::kLZnThrive));
-  EXPECT_FALSE(scheme_uses_custom_sync(Scheme::kCoRa));
-  EXPECT_FALSE(scheme_uses_custom_sync(Scheme::kTnB));
+  EXPECT_NE(make_receiver(Scheme::kLZnThrive, p).options().sync, nullptr);
+  EXPECT_EQ(make_receiver(Scheme::kCoRa, p).options().sync, nullptr);
+  EXPECT_EQ(make_receiver(Scheme::kTnB, p).options().sync, nullptr);
 }
 
 TEST(Factories, SchemeConfigsMatchPaper) {
   const lora::Params p = fixture_params();
   EXPECT_TRUE(make_receiver(Scheme::kTnB, p).options().use_bec);
   EXPECT_FALSE(make_receiver(Scheme::kThrive, p).options().use_bec);
-  EXPECT_FALSE(make_receiver(Scheme::kSibling, p).options().use_history);
+  EXPECT_FALSE(make_receiver(Scheme::kSibling, p).options().thrive.use_history);
   EXPECT_FALSE(make_receiver(Scheme::kLoRaPhy, p).options().two_pass);
   EXPECT_TRUE(make_receiver(Scheme::kCicBec, p).options().use_bec);
 }

@@ -1,6 +1,5 @@
-// Pins the bit-identity contract of the zero-allocation demodulation
-// kernels (DESIGN.md "Hot-path kernels"):
-//  - dechirp_fft / signal_vector (by-value) vs the *_into workspace kernels,
+// Pins the contract of the zero-allocation demodulation kernels (DESIGN.md
+// "Hot-path kernels"):
 //  - FracSync::refine vs the reference time-domain search
 //    (testing/reference_frac_sync.hpp) on collided preambles,
 //  - zero heap allocations in a warm workspace's steady-state demod loop,
@@ -77,58 +76,6 @@ namespace {
 
 lora::Params make_params(unsigned sf, unsigned osf) {
   return lora::Params{.sf = sf, .cr = 4, .bandwidth_hz = 125e3, .osf = osf};
-}
-
-// --- by-value wrappers vs workspace kernels -------------------------------
-
-TEST(DemodWorkspace, DechirpFftMatchesByValue) {
-  Rng rng(11);
-  for (const unsigned sf : {8u, 10u, 12u}) {
-    for (const unsigned osf : {1u, 8u}) {
-      const lora::Params p = make_params(sf, osf);
-      const lora::Demodulator demod(p);
-      lora::Workspace ws(p);
-      const std::size_t sps = p.sps();
-      std::vector<cfloat> window(sps);
-      for (auto& v : window) v = rng.complex_normal();
-      std::vector<cfloat> out(sps);
-      for (int trial = 0; trial < 4; ++trial) {
-        const double cfo = rng.uniform(-3.0, 3.0);
-        const bool up = (trial % 2) == 0;
-        // Partial (zero-padded) window on the last trial.
-        const std::size_t len = trial == 3 ? sps - sps / 3 : sps;
-        const std::span<const cfloat> win(window.data(), len);
-        const std::vector<cfloat> ref = demod.dechirp_fft(win, cfo, up);
-        demod.dechirp_fft_into(win, cfo, up, ws, out);
-        ASSERT_EQ(ref.size(), out.size());
-        ASSERT_EQ(0, std::memcmp(ref.data(), out.data(),
-                                 ref.size() * sizeof(cfloat)))
-            << "sf=" << sf << " osf=" << osf << " trial=" << trial;
-      }
-    }
-  }
-}
-
-TEST(DemodWorkspace, SignalVectorMatchesByValue) {
-  Rng rng(12);
-  for (const unsigned sf : {8u, 10u, 12u}) {
-    for (const unsigned osf : {1u, 8u}) {
-      const lora::Params p = make_params(sf, osf);
-      const lora::Demodulator demod(p);
-      lora::Workspace ws(p);
-      const auto sym = lora::make_upchirp(p, 42 % p.n_bins());
-      SignalVector out;
-      for (int trial = 0; trial < 4; ++trial) {
-        const double cfo = rng.uniform(-3.0, 3.0);
-        const SignalVector ref = demod.signal_vector(sym, cfo);
-        demod.signal_vector_into(sym, cfo, /*up=*/true, ws, out);
-        ASSERT_EQ(ref.size(), out.size());
-        ASSERT_EQ(0, std::memcmp(ref.data(), out.data(),
-                                 ref.size() * sizeof(float)))
-            << "sf=" << sf << " osf=" << osf << " cfo=" << cfo;
-      }
-    }
-  }
 }
 
 TEST(DemodWorkspace, FoldReusesCorrectlySizedOutput) {

@@ -51,6 +51,7 @@ TEST(EdgeCases, Sf12ModemRoundTrip) {
   lora::Params p{.sf = 12, .cr = 1, .bandwidth_hz = 125e3, .osf = 1};
   lora::Modulator mod(p);
   lora::Demodulator demod(p);
+  lora::Workspace ws(p);
   std::vector<std::uint8_t> app(14, 0xC3);
   const auto symbols = lora::encode_frame(lora::Coding::kPaper, p, app);
   const IqBuffer pkt = mod.synthesize_shifts(symbols);
@@ -59,7 +60,7 @@ TEST(EdgeCases, Sf12ModemRoundTrip) {
     EXPECT_EQ(demod.demod_value(
                   std::span<const cfloat>(pkt).subspan(start + s * p.sps(),
                                                        p.sps()),
-                  0.0),
+                  0.0, ws),
               lora::value_for_bin(lora::coding_table(lora::Coding::kPaper),
                                   p.sf, symbols[s], p.ldro));
   }

@@ -58,6 +58,7 @@ TEST(Ldro, ModemRoundTrip) {
   Params p{.sf = 10, .cr = 4, .bandwidth_hz = 125e3, .osf = 2, .ldro = true};
   Modulator mod(p);
   Demodulator demod(p);
+  Workspace ws(p);
   Rng rng(2);
   std::vector<std::uint8_t> app(14, 0x3A);
   const auto symbols = encode_frame(Coding::kPaper, p, app);
@@ -67,7 +68,7 @@ TEST(Ldro, ModemRoundTrip) {
     EXPECT_EQ(demod.demod_value(
                   std::span<const cfloat>(pkt).subspan(start + s * p.sps(),
                                                        p.sps()),
-                  0.0),
+                  0.0, ws),
               value_for_bin(coding_table(Coding::kPaper), p.sf, symbols[s],
                             p.ldro));
   }
@@ -94,6 +95,7 @@ TEST(Ldro, SurvivesCfoResidualThatBreaksNonLdro) {
     Params p{.sf = 10, .cr = 4, .bandwidth_hz = 125e3, .osf = 2, .ldro = ldro};
     Modulator mod(p);
     Demodulator demod(p);
+    Workspace ws(p);
     std::vector<std::uint8_t> app(14, 0x77);
     const auto symbols = encode_frame(Coding::kPaper, p, app);
     const IqBuffer pkt = mod.synthesize_shifts(symbols);
@@ -102,7 +104,7 @@ TEST(Ldro, SurvivesCfoResidualThatBreaksNonLdro) {
     for (std::size_t s = 0; s < symbols.size(); ++s) {
       const std::uint32_t v = demod.demod_value(
           std::span<const cfloat>(pkt).subspan(start + s * p.sps(), p.sps()),
-          -0.8);  // 0.8 cycles of uncorrected CFO
+          -0.8, ws);  // 0.8 cycles of uncorrected CFO
       errors += (v != value_for_bin(coding_table(Coding::kPaper), p.sf,
                                     symbols[s], p.ldro));
     }

@@ -157,7 +157,7 @@ TEST(LZnSync, SurfacesWeakPreambleUnderStrongCollider) {
 }
 
 TEST(LZnSync, EndToEndThroughReceiverSeam) {
-  // kLZnThrive routes detection through set_sync_factory; a clean packet
+  // kLZnThrive's options route detection through LZnSync; a clean packet
   // must decode end to end.
   const lora::Params p = fixture_params();
   sim::Trace trace;

@@ -15,6 +15,15 @@
 namespace tnb::lora {
 namespace {
 
+/// The folded signal vector of `window`, demodulated with `ws`.
+SignalVector signal_vector(const Demodulator& demod, Workspace& ws,
+                           std::span<const cfloat> window, double cfo_cycles,
+                           bool up = true) {
+  SignalVector sv;
+  demod.signal_vector_into(window, cfo_cycles, up, ws, sv);
+  return sv;
+}
+
 TEST(Chirp, UnitAmplitudeEverywhere) {
   Params p{.sf = 8, .osf = 4};
   const auto up = make_upchirp(p);
@@ -49,11 +58,12 @@ TEST_P(ModemShifts, DemodRecoversEveryShiftStride) {
   const auto [sf, osf] = GetParam();
   Params p{.sf = sf, .osf = osf};
   Demodulator demod(p);
+  Workspace ws(p);
   // Sweep shifts with a stride to keep runtime sane but cover the range.
   const std::uint32_t n = static_cast<std::uint32_t>(p.n_bins());
   for (std::uint32_t h = 0; h < n; h += 7) {
     const auto sym = make_upchirp(p, h);
-    const SignalVector sv = demod.signal_vector(sym, 0.0);
+    const SignalVector sv = signal_vector(demod, ws, sym, 0.0);
     EXPECT_EQ(Demodulator::argmax(sv), h);
   }
 }
@@ -123,15 +133,16 @@ TEST(Modem, PeakHeightDropsWithTimingError) {
   Params p{.sf = 8, .osf = 8};
   Modulator mod(p);
   Demodulator demod(p);
+  Workspace ws(p);
   std::vector<std::uint32_t> data(8, 0);
   const IqBuffer pkt = mod.synthesize_shifts(data);
 
   const std::size_t sps = p.sps();
   // Aligned window over the first preamble upchirp.
-  const SignalVector aligned = demod.signal_vector(
+  const SignalVector aligned = signal_vector(demod, ws,
       std::span<const cfloat>(pkt).subspan(0, sps), 0.0);
   // Misaligned by a quarter symbol.
-  const SignalVector shifted = demod.signal_vector(
+  const SignalVector shifted = signal_vector(demod, ws,
       std::span<const cfloat>(pkt).subspan(sps / 4, sps), 0.0);
   const float peak_aligned = *std::max_element(aligned.begin(), aligned.end());
   const float peak_shifted = *std::max_element(shifted.begin(), shifted.end());
@@ -142,9 +153,10 @@ TEST(Modem, PeakHeightDropsWithResidualCfo) {
   // Paper Fig. 1(c): 0.5 cycles of residual CFO lowers the peak sharply.
   Params p{.sf = 8, .osf = 8};
   Demodulator demod(p);
+  Workspace ws(p);
   const auto sym = make_upchirp(p, 42);
-  const SignalVector clean = demod.signal_vector(sym, 0.0);
-  const SignalVector off = demod.signal_vector(sym, 0.5);
+  const SignalVector clean = signal_vector(demod, ws, sym, 0.0);
+  const SignalVector off = signal_vector(demod, ws, sym, 0.5);
   EXPECT_LT(off[42], 0.6f * clean[42]);
   // Correcting the CFO that was actually applied restores the peak.
   Modulator mod(p);
@@ -154,7 +166,7 @@ TEST(Modem, PeakHeightDropsWithResidualCfo) {
   const IqBuffer pkt = mod.synthesize_shifts(one_sym, opt);
   // Data symbols start after the 12.25-symbol preamble.
   const std::size_t start = static_cast<std::size_t>(12.25 * p.sps());
-  const SignalVector corrected = demod.signal_vector(
+  const SignalVector corrected = signal_vector(demod, ws,
       std::span<const cfloat>(pkt).subspan(start, p.sps()), 0.5);
   EXPECT_EQ(Demodulator::argmax(corrected), 42u);
   EXPECT_GT(corrected[42], 0.9f * clean[42]);
@@ -163,6 +175,7 @@ TEST(Modem, PeakHeightDropsWithResidualCfo) {
 TEST(Modem, IntegerCfoShiftsPeakBin) {
   Params p{.sf = 8, .osf = 8};
   Demodulator demod(p);
+  Workspace ws(p);
   const auto sym = make_upchirp(p, 100);
   // Without correction, +3 cycles/symbol of CFO moves the peak 3 bins up.
   Modulator mod(p);
@@ -171,7 +184,7 @@ TEST(Modem, IntegerCfoShiftsPeakBin) {
   opt.cfo_hz = p.cfo_cycles_to_hz(3.0);
   const IqBuffer pkt = mod.synthesize_shifts(one_sym, opt);
   const std::size_t start = static_cast<std::size_t>(12.25 * p.sps());
-  const SignalVector sv = demod.signal_vector(
+  const SignalVector sv = signal_vector(demod, ws,
       std::span<const cfloat>(pkt).subspan(start, p.sps()), 0.0);
   EXPECT_EQ(Demodulator::argmax(sv), 103u);
 }
@@ -180,25 +193,26 @@ TEST(Modem, PreambleLayoutPeaks) {
   Params p{.sf = 8, .osf = 8};
   Modulator mod(p);
   Demodulator demod(p);
+  Workspace ws(p);
   std::vector<std::uint32_t> data(10, 5);
   const IqBuffer pkt = mod.synthesize_shifts(data);
   const std::size_t sps = p.sps();
 
   // 8 upchirps at bin 0.
   for (std::size_t s = 0; s < kPreambleUpchirps; ++s) {
-    const SignalVector sv = demod.signal_vector(
+    const SignalVector sv = signal_vector(demod, ws,
         std::span<const cfloat>(pkt).subspan(s * sps, sps), 0.0);
     EXPECT_EQ(Demodulator::argmax(sv), 0u) << "upchirp " << s;
   }
   // Sync symbols at bins 8 and 16 (locations 9 and 17, 1-indexed).
-  const SignalVector sync1 = demod.signal_vector(
+  const SignalVector sync1 = signal_vector(demod, ws,
       std::span<const cfloat>(pkt).subspan(8 * sps, sps), 0.0);
   EXPECT_EQ(Demodulator::argmax(sync1), kSyncShift1);
-  const SignalVector sync2 = demod.signal_vector(
+  const SignalVector sync2 = signal_vector(demod, ws,
       std::span<const cfloat>(pkt).subspan(9 * sps, sps), 0.0);
   EXPECT_EQ(Demodulator::argmax(sync2), kSyncShift2);
   // Downchirps demodulate at bin 0 with the upchirp reference.
-  const SignalVector down = demod.signal_vector(
+  const SignalVector down = signal_vector(demod, ws,
       std::span<const cfloat>(pkt).subspan(10 * sps, sps), 0.0, /*up=*/false);
   EXPECT_EQ(Demodulator::argmax(down), 0u);
 }
@@ -207,6 +221,7 @@ TEST(Modem, FullPacketSymbolRecovery) {
   Params p{.sf = 8, .cr = 3, .osf = 8};
   Modulator mod(p);
   Demodulator demod(p);
+  Workspace ws(p);
   Rng rng(4);
   std::vector<std::uint8_t> app(14);
   for (auto& b : app) b = static_cast<std::uint8_t>(rng.uniform_index(256));
@@ -217,7 +232,8 @@ TEST(Modem, FullPacketSymbolRecovery) {
   const std::size_t data_start = static_cast<std::size_t>(12.25 * sps);
   for (std::size_t s = 0; s < tx_symbols.size(); ++s) {
     const std::uint32_t v = demod.demod_value(
-        std::span<const cfloat>(pkt).subspan(data_start + s * sps, sps), 0.0);
+        std::span<const cfloat>(pkt).subspan(data_start + s * sps, sps), 0.0,
+        ws);
     EXPECT_EQ(v, value_for_bin(coding_table(Coding::kPaper), p.sf,
                                tx_symbols[s], p.ldro))
         << "symbol " << s;
@@ -228,12 +244,13 @@ TEST(Modem, FractionalDelayHalfSampleStillDecodes) {
   Params p{.sf = 8, .osf = 8};
   Modulator mod(p);
   Demodulator demod(p);
+  Workspace ws(p);
   std::vector<std::uint32_t> data{77};
   WaveformOptions opt;
   opt.frac_delay = 0.5;
   const IqBuffer pkt = mod.synthesize_shifts(data, opt);
   const std::size_t start = static_cast<std::size_t>(12.25 * p.sps());
-  const SignalVector sv = demod.signal_vector(
+  const SignalVector sv = signal_vector(demod, ws,
       std::span<const cfloat>(pkt).subspan(start, p.sps()), 0.0);
   // Half a receiver sample = 1/16 chirp sample: peak stays on its bin.
   EXPECT_EQ(Demodulator::argmax(sv), 77u);
@@ -243,15 +260,16 @@ TEST(Modem, AmplitudeScalesPower) {
   Params p{.sf = 7, .osf = 2};
   Modulator mod(p);
   Demodulator demod(p);
+  Workspace ws(p);
   std::vector<std::uint32_t> data{10};
   WaveformOptions loud;
   loud.amplitude = 2.0;
   const IqBuffer quiet_pkt = mod.synthesize_shifts(data);
   const IqBuffer loud_pkt = mod.synthesize_shifts(data, loud);
   const std::size_t start = static_cast<std::size_t>(12.25 * p.sps());
-  const SignalVector a = demod.signal_vector(
+  const SignalVector a = signal_vector(demod, ws,
       std::span<const cfloat>(quiet_pkt).subspan(start, p.sps()), 0.0);
-  const SignalVector b = demod.signal_vector(
+  const SignalVector b = signal_vector(demod, ws,
       std::span<const cfloat>(loud_pkt).subspan(start, p.sps()), 0.0);
   EXPECT_NEAR(b[10] / a[10], 4.0f, 0.05f);
 }
@@ -266,20 +284,22 @@ TEST(Modem, PacketSampleCountMatchesLayout) {
 TEST(Modem, ShortWindowZeroPads) {
   Params p{.sf = 8, .osf = 2};
   Demodulator demod(p);
+  Workspace ws(p);
   const auto sym = make_upchirp(p, 50);
   // Half-symbol window: the peak survives (lower) at the right bin.
-  const SignalVector sv = demod.signal_vector(
+  const SignalVector sv = signal_vector(demod, ws,
       std::span<const cfloat>(sym).first(p.sps() / 2), 0.0);
   EXPECT_EQ(Demodulator::argmax(sv), 50u);
-  const SignalVector full = demod.signal_vector(sym, 0.0);
+  const SignalVector full = signal_vector(demod, ws, sym, 0.0);
   EXPECT_LT(sv[50], full[50]);
 }
 
 TEST(Modem, WindowTooLongThrows) {
   Params p{.sf = 7, .osf = 1};
   Demodulator demod(p);
+  Workspace ws(p);
   std::vector<cfloat> big(p.sps() + 1);
-  EXPECT_THROW(demod.signal_vector(big, 0.0), std::invalid_argument);
+  EXPECT_THROW(signal_vector(demod, ws, big, 0.0), std::invalid_argument);
 }
 
 }  // namespace

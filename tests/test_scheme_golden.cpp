@@ -1,10 +1,13 @@
 // Golden outputs of every registered scheme, and of SicDecoder.
 //
-// base::make_receiver assembles each scheme from a peak assigner, a sync
-// front end and the use_bec / two_pass / use_history switches; SicDecoder
-// runs its own cancellation rounds on top of a receiver. This test pins
-// what each of them decodes, so a refactor of the scheme registry or of
-// the receiver's extension points must reproduce it bit for bit.
+// base::make_receiver writes each scheme's table row into
+// rx::ReceiverOptions: a peak assigner, a sync front end, the use_bec and
+// two_pass switches and Thrive's use_history. SicDecoder runs its own
+// cancellation rounds on top of a receiver. This test pins what each of
+// them decodes, so a refactor of the scheme registry or of the receiver's
+// options must reproduce it bit for bit. Each receiver is rebuilt from
+// nothing but make_receiver(...).options(), which pins that the options
+// alone carry the scheme.
 //
 // One fixed SF8 indoor collision trace per configuration (paper explicit,
 // wire explicit, paper implicit with a 16-byte payload), decoded on the
@@ -184,8 +187,8 @@ std::vector<std::string> capture(std::span<const Config> configs) {
     std::optional<rx::ImplicitHeader> implicit;
     if (c.implicit) implicit = rx::ImplicitHeader{kImplicitLen, kParams.cr};
     for (Scheme s : all_schemes()) {
-      const rx::Receiver receiver =
-          make_receiver(s, kParams, implicit, c.coding);
+      const rx::Receiver receiver(
+          kParams, make_receiver(s, kParams, implicit, c.coding).options());
       Rng rng(7);
       rx::ReceiverStats stats;
       const auto decoded = receiver.decode_multi(trace.antenna_spans(), rng,

@@ -159,7 +159,7 @@ TEST(Streaming, WindowIsRaisedToFitOneMaxPacketSpan) {
   StreamingOptions sopt;
   sopt.window_symbols = 1;  // absurdly small; the constructor must fix it
   StreamingReceiver srx(p, {}, sopt);
-  const std::size_t max_pkt = 96;  // ReceiverOptions().max_tracked_symbols
+  const auto max_pkt = static_cast<std::size_t>(rx::kMaxTrackedSymbols);
   EXPECT_GE(srx.options().window_symbols,
             (p.preamble_samples() + max_pkt * p.sps()) / p.sps());
 }
